@@ -18,10 +18,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import findist as fd
 from .conditioning import Point, ase, bayesian_inverse, point_of, samp_on, sharp
 from .errors import CapabilityError, ShapeError, WitnessError
-from .feasibility import LinearSystem, find_feasible
+from .feasibility import LinearSystem, find_feasible, verify
 from .findist import FinDist, FiniteSet, unit_set
 from .kernel import Kernel, compose, copy, from_function, identity, state, state_dist, tensor
-from .comparison import find_garbling, find_garbling_as
+from .comparison import find_garbling_as
 from .semiring import RATIONAL
 
 
@@ -208,6 +208,8 @@ def find_dilation(p_hat: MetaDist, q_hat: MetaDist) -> Optional[Dilation]:
     solution = find_feasible(system)
     if solution is None:
         return None
+    if not verify(system, solution):
+        raise WitnessError("solver returned an assignment that fails the dilation system")
     sources = q_hat.support
     targets = p_hat.support
     rows = []
@@ -348,14 +350,16 @@ def bss_check(f: Kernel, g: Kernel, m: Kernel) -> BssReport:
     """Run both synthesis routes and report whether their verdicts match.
 
     With a full-support prior the plain (exact) garbling verdict is also
-    reported; it coincides with the almost-sure one in that case.
+    reported.  It coincides with the almost-sure one in that case: the
+    support lists every hypothesis in base order, so both solve the same
+    system, and the almost-sure witness is reused.
     """
     garbling = find_garbling_as(f, g, m)
     f_hat_m = standard_measure(f, m)
     g_hat_m = standard_measure(g, m)
     dilation = find_dilation(f_hat_m, g_hat_m)
     full = len(state_dist(m).support) == len(f.dom)
-    plain = find_garbling(f, g) if full else None
+    plain = garbling if full else None
     return BssReport(f_hat_m=f_hat_m, g_hat_m=g_hat_m, garbling=garbling,
                      dilation=dilation, plain_garbling=plain, full_support=full)
 

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 from . import findist as fd
 from .conditioning import ase, conditional
 from .errors import CapabilityError, ShapeError, WitnessError
-from .feasibility import LinearSystem, find_feasible
+from .feasibility import LinearSystem, find_feasible, verify
 from .findist import FinDist, FiniteSet, product_set, unit_set
 from .kernel import (Kernel, compose, copy, discard, identity, marginalize,
                      recast, state, state_dist, tensor)
@@ -66,6 +66,8 @@ def _solve_garbling(f: Kernel, g: Kernel, support) -> Optional[Kernel]:
     solution = find_feasible(system)
     if solution is None:
         return None
+    if not verify(system, solution):
+        raise WitnessError("solver returned an assignment that fails the garbling system")
     columns = {}
     for x in f.cod.labels:
         weights = {y: solution[_var(y, x)] for y in g.cod.labels}

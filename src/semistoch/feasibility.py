@@ -1,8 +1,11 @@
 """Exact feasibility of linear equality systems over nonnegative rationals.
 
 Phase-1 simplex on Fraction arithmetic with Bland's anti-cycling rule.
-Deterministic: the same system always yields the same verdict and the same
-witness assignment.
+The tableau is sparse: each row maps a column to its nonzero entry, so a
+pivot touches only the nonzeros of the pivot row, and only in the rows
+with a nonzero entry in the entering column.  The pivot rule is the one a
+dense tableau would follow, entry for entry.  Deterministic: the same
+system always yields the same verdict and the same witness assignment.
 """
 
 from __future__ import annotations
@@ -59,6 +62,21 @@ def verify(system: LinearSystem, assignment: Mapping[str, Fraction]) -> bool:
     return True
 
 
+def _eliminate(row: Dict[int, Fraction], factor: Fraction, pivot_row: Dict[int, Fraction]) -> None:
+    """row -= factor * pivot_row, in place, dropping entries that become zero."""
+    neg = -factor
+    for j, w in pivot_row.items():
+        v = row.get(j)
+        if v is None:
+            row[j] = neg * w
+        else:
+            v += neg * w
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
 def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
     """A nonnegative exact solution of the equalities, or None.
 
@@ -72,61 +90,59 @@ def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
     if m == 0:
         return {name: Fraction(0) for name in system.variables}
 
-    # Tableau rows: n structural columns, m artificial columns, then rhs.
-    rows: List[List[Fraction]] = []
-    for i, (coeffs, rhs) in enumerate(system.equalities):
-        row = [Fraction(0)] * (n + m + 1)
-        for name, value in coeffs.items():
-            row[system._index[name]] = value
-        row[n + m] = rhs
-        if rhs < 0:
-            row = [-v for v in row]
+    # Sparse tableau rows, column -> nonzero entry: n structural columns,
+    # m artificial columns, then the rhs at column n + m.
+    rhs = n + m
+    rows: List[Dict[int, Fraction]] = []
+    for i, (coeffs, b) in enumerate(system.equalities):
+        row = {system._index[name]: value for name, value in coeffs.items()}
+        if b != 0:
+            row[rhs] = b
+        if b < 0:
+            row = {j: -v for j, v in row.items()}
         row[n + i] = Fraction(1)
         rows.append(row)
     basis = [n + i for i in range(m)]
 
     # Phase-1 objective row: reduced costs for cost vector (0,...,0,1,...,1).
-    obj = [Fraction(0)] * (n + m + 1)
-    for j in range(n + m + 1):
-        col_sum = sum((rows[i][j] for i in range(m)), Fraction(0))
-        cost = Fraction(0) if j < n else Fraction(1)
-        obj[j] = cost - col_sum
-    obj[n + m] = -sum((rows[i][n + m] for i in range(m)), Fraction(0))
+    # Each artificial column's cost cancels its unit entry, leaving zero.
+    obj: Dict[int, Fraction] = {}
+    for row in rows:
+        for j, v in row.items():
+            if j < n or j == rhs:
+                obj[j] = obj.get(j, 0) - v
+    obj = {j: v for j, v in obj.items() if v}
 
     while True:
-        entering = -1
-        for j in range(n + m):
-            if obj[j] < 0:
-                entering = j
-                break
+        entering = min((j for j, v in obj.items() if v < 0 and j != rhs), default=-1)
         if entering < 0:
             break
         leaving = -1
         best: Optional[Fraction] = None
-        for i in range(m):
-            coef = rows[i][entering]
-            if coef > 0:
-                ratio = rows[i][n + m] / coef
+        for i, row in enumerate(rows):
+            coef = row.get(entering)
+            if coef is not None and coef > 0:
+                ratio = row.get(rhs, 0) / coef
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
                     best = ratio
                     leaving = i
         if leaving < 0:
             raise RuntimeError("phase-1 objective unbounded; inconsistent tableau")
-        pivot = rows[leaving][entering]
-        rows[leaving] = [v / pivot for v in rows[leaving]]
-        for i in range(m):
-            if i != leaving and rows[i][entering] != 0:
-                factor = rows[i][entering]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[leaving])]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [v - factor * w for v, w in zip(obj, rows[leaving])]
+        pivot_row = rows[leaving]
+        pivot = pivot_row[entering]
+        if pivot != 1:
+            pivot_row = rows[leaving] = {j: v / pivot for j, v in pivot_row.items()}
+        for i, row in enumerate(rows):
+            if i != leaving and entering in row:
+                _eliminate(row, row[entering], pivot_row)
+        if entering in obj:
+            _eliminate(obj, obj[entering], pivot_row)
         basis[leaving] = entering
 
-    if -obj[n + m] != 0:  # leftover artificial mass: no feasible point
+    if rhs in obj:  # leftover artificial mass: no feasible point
         return None
     solution = {name: Fraction(0) for name in system.variables}
     for i in range(m):
         if basis[i] < n:
-            solution[system.variables[basis[i]]] = rows[i][n + m]
+            solution[system.variables[basis[i]]] = rows[i].get(rhs, Fraction(0))
     return solution

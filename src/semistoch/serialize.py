@@ -86,10 +86,29 @@ def _key_label(key: str, base: FiniteSet):
     if key in base:
         return key
     if base.arity == 2:
-        parts = tuple(key.split(","))
-        if len(parts) == 2 and parts in base:
-            return parts
+        # Atoms may contain commas, so try every split of the key into two.
+        parts = key.split(",")
+        found = [pair for pair in ((",".join(parts[:i]), ",".join(parts[i:]))
+                                   for i in range(1, len(parts)))
+                 if pair in base]
+        if len(found) == 1:
+            return found[0]
+        if found:
+            raise LoadError(f"label key {key!r} is ambiguous: it names the pairs "
+                            f"{', '.join(map(repr, found))}")
     raise LoadError(f"unknown label {key!r}")
+
+
+def _input_keys(dom: FiniteSet, what: str) -> Dict[str, Any]:
+    """Object key -> label for every input; no two labels may share a key."""
+    inputs: Dict[str, Any] = {}
+    for label in dom.labels:
+        key = _label_key(label)
+        if key in inputs:
+            raise LoadError(f"{what} labels {inputs[key]!r} and {label!r} "
+                            f"share the key {key!r}")
+        inputs[key] = label
+    return inputs
 
 
 def dist_from_json(obj: Any, semiring: Semiring, base: FiniteSet, what: str) -> FinDist:
@@ -122,14 +141,14 @@ def kernel_from_json(obj: Any, semiring: Semiring, name: str = "kernel") -> Kern
         raise LoadError(f"{name} needs 'dom' and 'cod' label arrays")
     dom = _set_from_json(obj["dom"], f"{name}.dom")
     cod = _set_from_json(obj["cod"], f"{name}.cod")
+    inputs = _input_keys(dom, f"{name}.dom")
     if "function" in obj:
         mapping = obj["function"]
         if not isinstance(mapping, dict):
             raise LoadError(f"{name}.function must be an object")
         columns = {}
         from . import findist as fd
-        for a in dom.labels:
-            key = _label_key(a)
+        for key, a in inputs.items():
             if key not in mapping:
                 raise LoadError(f"{name}.function misses input {key!r}")
             target = _label_from_json(mapping[key])
@@ -143,14 +162,11 @@ def kernel_from_json(obj: Any, semiring: Semiring, name: str = "kernel") -> Kern
     if not isinstance(raw, dict):
         raise LoadError(f"{name}.columns must be an object")
     columns = {}
-    keys = set()
-    for a in dom.labels:
-        key = _label_key(a)
-        keys.add(key)
+    for key, a in inputs.items():
         if key not in raw:
             raise LoadError(f"{name}.columns misses input {key!r}")
         columns[a] = dist_from_json(raw[key], semiring, cod, f"{name}.columns[{key!r}]")
-    extra = set(raw) - keys
+    extra = set(raw) - set(inputs)
     if extra:
         raise LoadError(f"{name}.columns has unknown inputs {sorted(extra)!r}")
     return Kernel(semiring, dom, cod, columns)

@@ -217,6 +217,15 @@ def test_find_dilation_rod(rod_f, rod_g, rod_m):
     assert t.row(P_FAIL_G).weight(P_FAIL_F) == Fraction(44, 83)
 
 
+def test_find_dilation_verifies_solver_assignment(monkeypatch, rod_f, rod_g, rod_m):
+    import semistoch.blackwell as blackwell
+
+    monkeypatch.setattr(blackwell, "find_feasible",
+                        lambda system: {name: Fraction(1) for name in system.variables})
+    with pytest.raises(WitnessError):
+        find_dilation(standard_measure(rod_f, rod_m), standard_measure(rod_g, rod_m))
+
+
 def test_find_dilation_reverse_is_infeasible(rod_f, rod_g, rod_m):
     fhat_m = standard_measure(rod_f, rod_m)
     ghat_m = standard_measure(rod_g, rod_m)
@@ -337,6 +346,25 @@ def test_bss_check_rod(rod_f, rod_g, rod_m):
     assert report.full_support
     assert report.plain_garbling is not None
     assert compose(report.plain_garbling, rod_f) == rod_g
+
+
+def test_bss_check_full_support_solves_the_garbling_once(monkeypatch, rod_f, rod_g, rod_m):
+    import semistoch.blackwell as blackwell
+    import semistoch.comparison as comparison
+    from semistoch.feasibility import find_feasible
+
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return find_feasible(system)
+
+    for module in (blackwell, comparison):
+        monkeypatch.setattr(module, "find_feasible", counted)
+    report = bss_check(rod_f, rod_g, rod_m)
+    assert report.full_support
+    assert len(calls) == 2  # the almost-sure garbling and the dilation
+    assert report.plain_garbling == report.garbling
 
 
 def test_bss_check_infeasible_pair():

@@ -46,6 +46,18 @@ def test_rod_reverse_direction_infeasible(rod_f, rod_g):
     assert find_garbling(rod_g, rod_f) is None
 
 
+def test_solver_assignment_is_verified_before_use(monkeypatch, rod_f, rod_g, rod_m):
+    import semistoch.comparison as comparison
+
+    # nonnegative but not a solution: every channel weight is one
+    monkeypatch.setattr(comparison, "find_feasible",
+                        lambda system: {name: Fraction(1) for name in system.variables})
+    with pytest.raises(WitnessError):
+        find_garbling(rod_f, rod_g)
+    with pytest.raises(WitnessError):
+        find_garbling_as(rod_f, rod_g, rod_m)
+
+
 def test_self_garbling_always_exists():
     r = corpus.rng("cmp-self")
     theta = corpus.labeled_set("t", 3)

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semistoch import (
     FinDist,
@@ -281,3 +283,68 @@ class TestLoadExperiment:
                                              "b": {"a": "eps", "b": "1"}}}}}
         exp = load_experiment(doc)
         assert exp.kernel("k").weight("a", "b") == TRI_EPS
+
+
+# Atoms mix commas, the key separator, with non-ASCII text.
+ATOMS = st.text(alphabet=st.sampled_from("a1,é λ→😀"), max_size=4)
+
+
+@st.composite
+def label_sets(draw):
+    """A finite set of atoms (arity 1) or of atom pairs (arity 2)."""
+    atoms = st.lists(ATOMS, min_size=1, max_size=3, unique=True).map(FiniteSet)
+    if draw(st.booleans()):
+        return draw(atoms)
+    return product_set(draw(atoms), draw(atoms))
+
+
+@st.composite
+def rational_kernels(draw):
+    dom, cod = draw(label_sets()), draw(label_sets())
+    columns = {}
+    for a in dom.labels:
+        counts = draw(st.lists(st.integers(0, 3), min_size=len(cod), max_size=len(cod))
+                      .filter(any))
+        columns[a] = FinDist(RATIONAL, cod, {y: Fraction(n, sum(counts))
+                                             for y, n in zip(cod.labels, counts)})
+    return Kernel(RATIONAL, dom, cod, columns)
+
+
+def has_unique_keys(base: FiniteSet) -> bool:
+    keys = [label if isinstance(label, str) else ",".join(label) for label in base.labels]
+    return len(set(keys)) == len(keys)
+
+
+class TestRoundTrip:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(rational_kernels())
+    def test_load_inverts_kernel_to_json(self, k):
+        # Two labels with one key, such as ("a,b", "c") and ("a", "b,c"), are
+        # a genuine ambiguity of the format; those are tested below.
+        assume(has_unique_keys(k.dom) and has_unique_keys(k.cod))
+        doc = kernel_to_json(k)
+        text = json.dumps({"theta": doc["dom"], "kernels": {"k": doc}}, ensure_ascii=False)
+        assert load_experiment(json.loads(text)).kernel("k") == k
+
+    def test_pair_label_with_comma_loads_back(self):
+        cod = product_set(FiniteSet(["x,1", "x"]), FiniteSet(["y"]))
+        k = Kernel(RATIONAL, AB, cod,
+                   {"a": FinDist(RATIONAL, cod, {("x,1", "y"): fr(1)}),
+                    "b": FinDist(RATIONAL, cod, {("x", "y"): fr("1/3"),
+                                                 ("x,1", "y"): fr("2/3")})})
+        doc = kernel_to_json(k)
+        assert doc["columns"]["a"] == {"x,1,y": "1"}
+        assert kernel_from_json(doc, RATIONAL) == k
+
+    def test_ambiguous_pair_key_rejected(self):
+        base = product_set(FiniteSet(["a,b", "a"]), FiniteSet(["c", "b,c"]))
+        with pytest.raises(LoadError, match="ambiguous"):
+            dist_from_json({"a,b,c": "1"}, RATIONAL, base, "d")
+
+    def test_inputs_sharing_a_key_rejected(self):
+        dom = product_set(FiniteSet(["a,b", "a"]), FiniteSet(["c", "b,c"]))
+        doc = {"dom": [list(label) for label in dom.labels], "cod": ["y"],
+               "columns": {"a,b,c": {"y": "1"}, "a,b,b,c": {"y": "1"},
+                           "a,c": {"y": "1"}}}
+        with pytest.raises(LoadError, match="share the key"):
+            kernel_from_json(doc, RATIONAL)
