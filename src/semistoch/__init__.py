@@ -24,11 +24,9 @@ from .errors import (CapabilityError, DistributionError, LoadError, ShapeError,
 from .feasibility import LinearSystem, find_feasible, verify
 from .findist import (FinDist, FiniteSet, dirac, flatten, marginal, product,
                       product_set, pushforward, split_set, uniform, unit_set)
-from .kernel import (Kernel, ParamKernel, compose, copy, discard, from_function,
-                     identity, is_deterministic, marginalize, param_compose,
-                     param_copy, param_discard, param_identity, param_lift,
-                     param_tensor, recast, state, state_dist, state_is_dirac,
-                     swap, tensor)
+from .kernel import (Kernel, compose, copy, discard, from_function, identity,
+                     is_deterministic, marginalize, recast, state, state_dist,
+                     state_is_dirac, swap, tensor)
 from .semiring import (PAIR_RATIONAL, RATIONAL, TRI_EPS, TRI_ONE, TRI_ZERO,
                        TRILATTICE, PairSemiring, RationalSemiring, Semiring,
                        Tri, TrilatticeSemiring, semiring_by_name)

@@ -17,8 +17,7 @@ from typing import Optional
 from . import blackwell, comparison, serialize
 from .conditioning import is_deterministic_given
 from .errors import CapabilityError, DistributionError, LoadError, ShapeError, WitnessError
-from .kernel import Kernel, is_deterministic, state_dist
-from .semiring import RATIONAL
+from .kernel import Kernel, is_deterministic, state, state_is_dirac
 from .serialize import decimal_str
 
 _ERRORS = (LoadError, ShapeError, CapabilityError, DistributionError, WitnessError)
@@ -139,9 +138,7 @@ def _cmd_check(args) -> int:
     elif prop == "dirac":
         if len(k.dom) != 1:
             raise LoadError("'dirac' applies to states (single-input kernels)")
-        column = k.column(k.dom.labels[0])
-        verdict = (len(column.weights) == 1
-                   and k.semiring.eq(next(iter(column.weights.values())), k.semiring.one))
+        verdict = state_is_dirac(state(k.column(k.dom.labels[0])))
     else:
         side = "left" if prop == "det-given-left" else "right"
         if k.cod.factors is None:

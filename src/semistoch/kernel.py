@@ -185,87 +185,3 @@ def state_is_dirac(s: Kernel) -> bool:
     return len(dist.weights) == 1 and s.semiring.eq(next(iter(dist.weights.values())),
                                                     s.semiring.one)
 
-
-class ParamKernel:
-    """Kernel ``dom -> cod`` reading an extra parameter object.
-
-    Represented by an inner kernel ``param (x) dom -> cod``.  These form the
-    Kleisli-style category where the parameter is copied and fed to every
-    box, which is what the parametric operations below implement.
-    """
-
-    __slots__ = ("param", "dom", "cod", "inner")
-
-    def __init__(self, param: FiniteSet, dom: FiniteSet, cod: FiniteSet, inner: Kernel):
-        if inner.dom.labels != product_set(param, dom).labels:
-            raise ShapeError("inner kernel domain must be param (x) dom")
-        if inner.cod != cod:
-            raise ShapeError("inner kernel codomain mismatch")
-        self.param = param
-        self.dom = dom
-        self.cod = cod
-        self.inner = inner
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ParamKernel)
-                and self.param == other.param
-                and self.dom == other.dom
-                and self.cod == other.cod
-                and self.inner == other.inner)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"ParamKernel({len(self.dom)} -> {len(self.cod)} "
-                f"over {self.inner.semiring.name}, param {len(self.param)})")
-
-
-def param_lift(param: FiniteSet, k: Kernel) -> ParamKernel:
-    """A plain kernel viewed as parameter-independent."""
-    sr = k.semiring
-    inner = compose(k, tensor(discard(sr, param), identity(sr, k.dom)))
-    return ParamKernel(param, k.dom, k.cod, inner)
-
-
-def param_identity(semiring: Semiring, param: FiniteSet, x: FiniteSet) -> ParamKernel:
-    return param_lift(param, identity(semiring, x))
-
-
-def _check_param(f: ParamKernel, g: ParamKernel) -> None:
-    same_semiring(f.inner.semiring, g.inner.semiring)
-    if f.param != g.param:
-        raise ShapeError("parameter objects differ")
-
-
-def param_compose(outer: ParamKernel, inner: ParamKernel) -> ParamKernel:
-    """Composite outer after inner; one shared parameter feeds both."""
-    _check_param(outer, inner)
-    if inner.cod != outer.dom:
-        raise ShapeError("parametric composition mismatch")
-    sr = outer.inner.semiring
-    b, a = outer.param, inner.dom
-    spread = compose(tensor(identity(sr, b), inner.inner),
-                     tensor(copy(sr, b), identity(sr, a)))
-    rep = compose(outer.inner, spread)
-    return ParamKernel(b, a, outer.cod, rep)
-
-
-def param_tensor(f: ParamKernel, g: ParamKernel) -> ParamKernel:
-    """Parallel composite; the parameter is copied to both factors."""
-    _check_param(f, g)
-    sr = f.inner.semiring
-    b, a, c = f.param, f.dom, g.dom
-    ac = product_set(a, c)
-    duplicate = tensor(copy(sr, b), identity(sr, ac))
-    permute = tensor(identity(sr, b), tensor(swap(sr, b, a), identity(sr, c)))
-    rep = compose(tensor(f.inner, g.inner), compose(permute, duplicate))
-    return ParamKernel(b, ac, product_set(f.cod, g.cod), rep)
-
-
-def param_copy(semiring: Semiring, param: FiniteSet, x: FiniteSet) -> ParamKernel:
-    """Copy map in the parametric category; ignores the parameter."""
-    return param_lift(param, copy(semiring, x))
-
-
-def param_discard(semiring: Semiring, param: FiniteSet, x: FiniteSet) -> ParamKernel:
-    return param_lift(param, discard(semiring, x))

@@ -1,9 +1,17 @@
 """Commutative semirings with exact arithmetic.
 
 Every weight in this library lives in a commutative semiring chosen at
-runtime.  Instances bundle the carrier checks, the two monoid operations,
+runtime.  Instances bundle the carrier check, the two monoid operations,
 decidable equality, and a partial exact division used when conditionals
 are constructible.  No floating point anywhere.
+
+Carrier membership is checked once, where a value enters: ``FinDist``
+checks every weight it stores, and ``parse`` checks every literal it
+reads.  The arithmetic (``add``, ``mul``, ``try_div``, ``eq``/``is_zero``,
+``format``) works on its arguments directly.  That is sound because every
+value it meets is a stored weight, a carrier constant (``zero``/``one``)
+or a result of arithmetic on those, and each carrier is closed under its
+own operations.
 """
 
 from __future__ import annotations
@@ -32,13 +40,20 @@ class Semiring:
 
     name: str = "?"
     is_entire: bool = False
-    supports_conditionals: bool = False
     conditional_strategy: str = NONE
     zero: Value = None
     one: Value = None
 
+    @property
+    def supports_conditionals(self) -> bool:
+        return self.conditional_strategy != NONE
+
     def check(self, value: Value) -> Value:
-        """Validate and canonicalize a carrier value; raise ShapeError otherwise."""
+        """Validate and canonicalize a carrier value; raise ShapeError otherwise.
+
+        Runs where values enter (``FinDist`` weights and ``parse``), never
+        inside the arithmetic: the carrier is closed under its operations.
+        """
         raise NotImplementedError
 
     def add(self, a: Value, b: Value) -> Value:
@@ -48,7 +63,7 @@ class Semiring:
         raise NotImplementedError
 
     def eq(self, a: Value, b: Value) -> bool:
-        return self.check(a) == self.check(b)
+        return a == b
 
     def is_zero(self, a: Value) -> bool:
         return self.eq(a, self.zero)
@@ -82,7 +97,6 @@ class RationalSemiring(Semiring):
 
     name = "rational"
     is_entire = True
-    supports_conditionals = True
     conditional_strategy = DIVISION
     zero = Fraction(0)
     one = Fraction(1)
@@ -97,13 +111,12 @@ class RationalSemiring(Semiring):
         return value
 
     def add(self, a, b):
-        return self.check(a) + self.check(b)
+        return a + b
 
     def mul(self, a, b):
-        return self.check(a) * self.check(b)
+        return a * b
 
     def try_div(self, a, b):
-        a, b = self.check(a), self.check(b)
         if b == 0:
             return None
         return a / b
@@ -116,7 +129,7 @@ class RationalSemiring(Semiring):
         return self.check(value)
 
     def format(self, value):
-        return str(self.check(value))
+        return str(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -150,7 +163,6 @@ class TrilatticeSemiring(Semiring):
 
     name = "trilattice"
     is_entire = True
-    supports_conditionals = True
     conditional_strategy = ORDERED_IDEMPOTENT
     zero = TRI_ZERO
     one = TRI_ONE
@@ -161,13 +173,12 @@ class TrilatticeSemiring(Semiring):
         return value
 
     def add(self, a, b):
-        return max(self.check(a), self.check(b))
+        return max(a, b)
 
     def mul(self, a, b):
-        return min(self.check(a), self.check(b))
+        return min(a, b)
 
     def try_div(self, a, b):
-        a, b = self.check(a), self.check(b)
         for q in _TRI_ALL:  # ascending, so the first hit is the least quotient
             if min(q, b) == a:
                 return q
@@ -180,7 +191,7 @@ class TrilatticeSemiring(Semiring):
             raise ShapeError(f"bad trilattice literal {text!r}") from exc
 
     def format(self, value):
-        return repr(self.check(value))
+        return repr(value)
 
 
 class PairSemiring(Semiring):
@@ -192,7 +203,6 @@ class PairSemiring(Semiring):
     """
 
     is_entire = False
-    supports_conditionals = False
     conditional_strategy = NONE
 
     def __init__(self, base: Semiring, name: str):
@@ -207,15 +217,12 @@ class PairSemiring(Semiring):
         return (self.base.check(value[0]), self.base.check(value[1]))
 
     def add(self, a, b):
-        a, b = self.check(a), self.check(b)
         return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
 
     def mul(self, a, b):
-        a, b = self.check(a), self.check(b)
         return (self.base.mul(a[0], b[0]), self.base.mul(a[1], b[1]))
 
     def try_div(self, a, b):
-        a, b = self.check(a), self.check(b)
         parts = []
         for x, y in zip(a, b):
             if self.base.is_zero(y):
@@ -239,7 +246,6 @@ class PairSemiring(Semiring):
         return (self.base.parse(parts[0].strip()), self.base.parse(parts[1].strip()))
 
     def format(self, value):
-        value = self.check(value)
         return f"({self.base.format(value[0])},{self.base.format(value[1])})"
 
 

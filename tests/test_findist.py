@@ -105,6 +105,26 @@ def test_findist_rejects_unknown_labels():
         FinDist(RATIONAL, AB, {"z": Fraction(1)})
 
 
+@pytest.mark.parametrize(
+    "semiring, weights",
+    [
+        (RATIONAL, {"a": Fraction(3, 2), "b": Fraction(-1, 2)}),  # sums to one
+        (RATIONAL, {"a": 0.5, "b": Fraction(1, 2)}),
+        (TRILATTICE, {"a": Fraction(1)}),
+        (PAIR_RATIONAL, {"a": Fraction(1)}),
+        (PAIR_RATIONAL, {"a": (Fraction(1), Fraction(1), Fraction(1))}),
+        (PAIR_RATIONAL, {"a": (Fraction(3, 2), Fraction(1)),
+                         "b": (Fraction(-1, 2), Fraction(0))}),  # sums to one
+    ],
+    ids=["rational-negative", "rational-float", "trilattice-fraction",
+         "pair-bare-fraction", "pair-triple", "pair-negative-component"],
+)
+def test_findist_rejects_weights_outside_the_carrier(semiring, weights):
+    # the carrier is checked here, once; the arithmetic trusts it afterwards
+    with pytest.raises(ShapeError):
+        FinDist(semiring, AB, weights)
+
+
 def test_findist_is_hashable_label_material():
     p = dirac(RATIONAL, AB, "a")
     q = dirac(RATIONAL, AB, "b")

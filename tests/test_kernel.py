@@ -18,12 +18,6 @@ from semistoch import (
     identity,
     is_deterministic,
     marginalize,
-    param_compose,
-    param_copy,
-    param_identity,
-    param_lift,
-    param_tensor,
-    product,
     product_set,
     state,
     state_dist,
@@ -306,109 +300,3 @@ def test_pair_semiring_deterministic_state_that_is_not_dirac():
         ("b", "b"): (Fraction(1), Fraction(0)),
     }
 
-
-def make_param_pair(r):
-    b = FiniteSet(["b1", "b2"])
-    k1 = corpus.random_kernel(r, AB, CD)
-    k2 = corpus.random_kernel(r, AB, CD)
-    cols = {}
-    for bl in b.labels:
-        for a in AB.labels:
-            cols[(bl, a)] = (k1 if bl == "b1" else k2).column(a)
-    inner = Kernel(RATIONAL, product_set(b, AB), CD, cols)
-    from semistoch import ParamKernel
-
-    return b, k1, k2, ParamKernel(b, AB, CD, inner)
-
-
-def test_param_singleton_reduces_to_plain():
-    r = corpus.rng("param-singleton")
-    b = FiniteSet(["b"])
-    f = corpus.random_kernel(r, AB, CD)
-    g = corpus.random_kernel(r, CD, EF)
-    lifted = param_compose(param_lift(b, g), param_lift(b, f))
-    assert lifted == param_lift(b, compose(g, f))
-
-
-def test_param_independent_kernels_compose_plainly():
-    r = corpus.rng("param-indep")
-    b = FiniteSet(["b1", "b2", "b3"])
-    f = corpus.random_kernel(r, AB, CD)
-    g = corpus.random_kernel(r, CD, EF)
-    assert param_compose(param_lift(b, g), param_lift(b, f)) == param_lift(
-        b, compose(g, f)
-    )
-
-
-def test_param_two_point_selection():
-    r = corpus.rng("param-select")
-    b, k1, k2, pf = make_param_pair(r)
-    j1 = corpus.random_kernel(r, CD, EF)
-    j2 = corpus.random_kernel(r, CD, EF)
-    cols = {}
-    for bl in b.labels:
-        for c in CD.labels:
-            cols[(bl, c)] = (j1 if bl == "b1" else j2).column(c)
-    from semistoch import ParamKernel
-
-    pg = ParamKernel(b, CD, EF, Kernel(RATIONAL, product_set(b, CD), EF, cols))
-    comp = param_compose(pg, pf)
-    # the same parameter value feeds both stages
-    plain = {"b1": compose(j1, k1), "b2": compose(j2, k2)}
-    for bl in b.labels:
-        for a in AB.labels:
-            assert comp.inner.column((bl, a)) == plain[bl].column(a)
-
-
-def test_param_tensor_duplicates_parameter():
-    r = corpus.rng("param-tensor")
-    b, k1, k2, pf = make_param_pair(r)
-    pg = param_lift(b, corpus.random_kernel(r, CD, EF))
-    pt = param_tensor(pf, pg)
-    assert pt.dom == product_set(AB, CD)
-    assert pt.cod == product_set(CD, EF)
-    for bl in b.labels:
-        for a in AB.labels:
-            for c in CD.labels:
-                col = pt.inner.column((bl, a, c))
-                base_f = pf.inner.column((bl, a))
-                base_g = pg.inner.column((bl, c))
-                assert col == product(base_f, base_g)
-
-
-def test_param_copy_ignores_parameter():
-    b = FiniteSet(["b1", "b2"])
-    pc = param_copy(RATIONAL, b, AB)
-    for bl in b.labels:
-        for a in AB.labels:
-            assert pc.inner.column((bl, a)) == dirac(
-                RATIONAL, product_set(AB, AB), (a, a)
-            )
-
-
-def test_param_identity_neutral():
-    r = corpus.rng("param-idlaw")
-    b, _, _, pf = make_param_pair(r)
-    assert param_compose(param_identity(RATIONAL, b, CD), pf) == pf
-    assert param_compose(pf, param_identity(RATIONAL, b, AB)) == pf
-
-
-def test_param_compose_associative():
-    r = corpus.rng("param-assoc")
-    b = FiniteSet(["b1", "b2"])
-
-    def rand_param(dom, cod):
-        cols = {}
-        for bl in b.labels:
-            for a in dom.labels:
-                cols[(bl, a)] = corpus.random_dist(r, cod)
-        from semistoch import ParamKernel
-
-        return ParamKernel(b, dom, cod, Kernel(RATIONAL, product_set(b, dom), cod, cols))
-
-    f = rand_param(AB, CD)
-    g = rand_param(CD, EF)
-    h = rand_param(EF, AB)
-    assert param_compose(h, param_compose(g, f)) == param_compose(
-        param_compose(h, g), f
-    )

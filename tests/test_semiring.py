@@ -221,3 +221,22 @@ def test_pair_try_div_is_least_witness(a, b):
 def test_tri_add_mul_consistent_with_order(a, b):
     assert TRILATTICE.add(a, b) == max(a, b)
     assert TRILATTICE.mul(a, b) == min(a, b)
+
+
+carrier_operands = st.one_of(
+    st.tuples(st.just(RATIONAL), nonneg_fractions, nonneg_fractions),
+    st.tuples(st.just(TRILATTICE), tri_values, tri_values),
+    st.tuples(st.just(PAIR_RATIONAL), pairs, pairs),
+)
+
+
+@given(carrier_operands)
+def test_carriers_closed_under_their_operations(case):
+    # closure is what lets add/mul/try_div skip the carrier check
+    sr, a, b = case
+    results = [sr.add(a, b), sr.mul(a, b)]
+    q = sr.try_div(a, b)
+    if q is not None:
+        results.append(q)
+    for x in results:
+        assert sr.check(x) == x
