@@ -6,9 +6,9 @@ synthesis and by mass transport between standard measures, both backed by
 exact rational linear feasibility.
 """
 
-from .blackwell import (BssReport, Dilation, MetaDist, MetaMetaDist, barycenter,
-                        bss_check, derive_partial_evaluation, dilation_kernel,
-                        dilation_system, dilation_to_garbling, find_dilation,
+from .blackwell import (BssReport, Dilation, MetaDist, barycenter, bss_check,
+                        derive_partial_evaluation, dilation_system,
+                        dilation_to_garbling, find_dilation,
                         garbling_to_dilation, is_dilation, meta_of_state,
                         recovery_map, standard_experiment, standard_measure,
                         transport, verify_samp_is_bayesian_inverse)

@@ -2,163 +2,129 @@
 
 The standard experiment of ``f`` against a prior sends each hypothesis to
 the posterior point of the observation it generates; pushing the prior
-through it gives the standard measure, a distribution over posterior
-points.  Informativeness between experiments is then mirrored by mass
-transport between standard measures along dilations: barycenter-preserving
-channels on points.  Both directions of that equivalence are constructed
-explicitly here, and dilation synthesis reduces to exact feasibility.
+through it gives the standard measure, a ``FinDist`` over posterior points
+(an element of P(P(Theta))).  A dilation is a ``Kernel`` from posterior
+points to distributions over posterior points whose rows average back to
+their sources.  Transport along a dilation is composition, and the
+barycenter is composition with ``samp``.  Informativeness between
+experiments is mirrored by transport between standard measures; both
+directions of that equivalence are constructed explicitly here, and
+dilation synthesis reduces to exact feasibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from . import findist as fd
 from .conditioning import Point, ase, bayesian_inverse, point_of, samp_on, sharp
-from .errors import CapabilityError, ShapeError, WitnessError
+from .errors import DistributionError, ShapeError, WitnessError
 from .feasibility import LinearSystem, find_feasible, verify
-from .findist import FinDist, FiniteSet, unit_set
+from .findist import FinDist, FiniteSet
 from .kernel import Kernel, compose, copy, from_function, identity, state, state_dist, tensor
 from .comparison import find_garbling_as
 from .semiring import RATIONAL
 
 
-@dataclass(frozen=True)
-class MetaDist:
-    """Finitely supported rational distribution over posterior points."""
+class MetaDist(FinDist):
+    """Rational distribution over posterior points that share a base.
 
-    entries: Tuple[Tuple[Point, Fraction], ...]
+    The base is the support in point order, so equal measures compare equal.
+    """
 
-    def __post_init__(self):
-        if not self.entries:
-            raise ShapeError("a meta-distribution needs at least one point")
-        base = self.entries[0][0].base
-        seen = set()
-        total = Fraction(0)
-        for point, weight in self.entries:
-            if point.base != base:
-                raise ShapeError("points must share a base")
-            if point in seen:
-                raise ShapeError("points must be distinct")
-            seen.add(point)
-            if weight <= 0:
-                raise ShapeError("stored weights must be positive")
-            total += weight
-        if total != 1:
-            raise ShapeError("weights must sum to one")
-        if list(self.entries) != sorted(self.entries, key=lambda e: e[0]):
-            raise ShapeError("entries must be sorted by point")
+    __slots__ = ()
+
+    def __init__(self, weights: Mapping[Point, Fraction]):
+        if len({point.base for point in weights}) > 1:
+            raise ShapeError("points must share a base")
+        super().__init__(RATIONAL, FiniteSet(sorted(weights)), weights)
 
     @staticmethod
-    def from_pairs(pairs: Iterable[Tuple[Point, Fraction]]) -> "MetaDist":
+    def from_pairs(pairs: Iterable[Tuple[Point, Fraction]]) -> MetaDist:
+        """Merge repeated points and drop zero weights."""
         acc: Dict[Point, Fraction] = {}
         for point, weight in pairs:
-            weight = Fraction(weight)
+            weight = RATIONAL.check(Fraction(weight))
             if weight != 0:
                 acc[point] = acc.get(point, Fraction(0)) + weight
-        return MetaDist(tuple(sorted(acc.items(), key=lambda e: e[0])))
+        try:
+            return MetaDist(acc)
+        except DistributionError as exc:
+            raise ShapeError(str(exc)) from exc
 
     @property
-    def support(self) -> Tuple[Point, ...]:
-        return tuple(point for point, _ in self.entries)
+    def entries(self) -> Tuple[Tuple[Point, Fraction], ...]:
+        return tuple(self.weights.items())
+
+    @property
+    def theta(self) -> tuple:
+        """The hypothesis labels the points are distributions over."""
+        return self.support[0].base
 
     def weight(self, point: Point) -> Fraction:
-        for p, w in self.entries:
-            if p == point:
-                return w
-        return Fraction(0)
-
-    @property
-    def base(self) -> tuple:
-        return self.entries[0][0].base
+        return self.weights.get(point, Fraction(0))
 
 
 def meta_of_state(s: Kernel) -> MetaDist:
     """Read a state over a point-labelled set as a meta-distribution."""
     dist = state_dist(s)
-    pairs = []
-    for label, weight in dist.items():
-        if not isinstance(label, Point):
-            raise ShapeError("state is not over posterior points")
-        pairs.append((label, weight))
-    return MetaDist.from_pairs(pairs)
+    if not all(isinstance(label, Point) for label in dist.support):
+        raise ShapeError("state is not over posterior points")
+    return MetaDist(dist.weights)
 
 
-def barycenter(md: MetaDist) -> Point:
-    """Average the support points with their weights."""
-    base = md.base
-    sums = [Fraction(0)] * len(base)
-    for point, weight in md.entries:
-        for i, value in enumerate(point.weights):
-            sums[i] += weight * value
-    return Point(base, tuple(sums))
+def barycenter(md: FinDist) -> Point:
+    """Average of a distribution over points: composition with samp."""
+    return point_of(state_dist(compose(samp_on(md.base.labels), state(md))))
 
 
-@dataclass(frozen=True)
-class Dilation:
-    """Rows of point-distributions indexed by source points.
+class Dilation(Kernel):
+    """Kernel from source points to distributions over target points.
 
     A dilation for a meta-distribution q assigns to every point in the
     support of q a row whose barycenter is that point; transporting q along
-    the rows yields another meta-distribution over the same base.
+    the rows yields another meta-distribution over the same base.  The
+    domain is the sorted set of sources, the codomain the sorted union of
+    the row supports.
     """
 
-    rows: Tuple[Tuple[Point, MetaDist], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        seen = set()
-        for source, _ in self.rows:
-            if source in seen:
-                raise ShapeError("duplicate source point")
-            seen.add(source)
-        if list(self.rows) != sorted(self.rows, key=lambda e: e[0]):
-            raise ShapeError("rows must be sorted by source point")
+    def __init__(self, rows: Iterable[Tuple[Point, FinDist]]):
+        rows = tuple(rows)
+        by_source = dict(rows)
+        if len(by_source) != len(rows):
+            raise ShapeError("duplicate source point")
+        cod = FiniteSet(sorted({target for _, row in rows for target in row.support}))
+        super().__init__(RATIONAL, FiniteSet(sorted(by_source)), cod,
+                         {source: FinDist(RATIONAL, cod, row.weights)
+                          for source, row in rows})
 
     @property
-    def sources(self) -> Tuple[Point, ...]:
-        return tuple(point for point, _ in self.rows)
+    def rows(self) -> Tuple[Tuple[Point, MetaDist], ...]:
+        return tuple((source, self.row(source)) for source in self.dom.labels)
 
     def row(self, point: Point) -> MetaDist:
-        for p, row in self.rows:
-            if p == point:
-                return row
-        raise WitnessError(f"dilation has no row at {point!r}")
+        if point not in self.dom:
+            raise WitnessError(f"dilation has no row at {point!r}")
+        return MetaDist(self.columns[point].weights)
+
+
+def _restrict(t: Dilation, md: MetaDist) -> Dilation:
+    """The rows of t at the support of md, a kernel out of md's base."""
+    return Dilation((point, t.row(point)) for point in md.support)
 
 
 def is_dilation(t: Dilation, wrt: MetaDist) -> bool:
     """Every support point of wrt has a row whose barycenter is the point."""
-    for point, _ in wrt.entries:
-        if barycenter(t.row(point)) != point:
-            return False
-    return True
+    return all(barycenter(t.row(point)) == point for point in wrt.support)
 
 
 def transport(t: Dilation, md: MetaDist) -> MetaDist:
     """Push a meta-distribution through the rows of a dilation."""
-    pairs: List[Tuple[Point, Fraction]] = []
-    for point, weight in md.entries:
-        for target, share in t.row(point).entries:
-            pairs.append((target, weight * share))
-    return MetaDist.from_pairs(pairs)
-
-
-@dataclass(frozen=True)
-class MetaMetaDist:
-    """Distribution over meta-distributions; the partial-evaluation shape."""
-
-    entries: Tuple[Tuple[MetaDist, Fraction], ...]
-
-    def flatten(self) -> MetaDist:
-        pairs: List[Tuple[Point, Fraction]] = []
-        for row, weight in self.entries:
-            for point, share in row.entries:
-                pairs.append((point, weight * share))
-        return MetaDist.from_pairs(pairs)
-
-    def push_barycenter(self) -> MetaDist:
-        return MetaDist.from_pairs((barycenter(row), weight) for row, weight in self.entries)
+    return meta_of_state(compose(_restrict(t, md), state(md)))
 
 
 def standard_experiment(f: Kernel, m: Kernel) -> Kernel:
@@ -183,7 +149,7 @@ def dilation_system(p_hat: MetaDist, q_hat: MetaDist) -> LinearSystem:
     them).  Rows must normalize, average back to their source, and carry
     q_hat onto p_hat.
     """
-    if p_hat.base != q_hat.base:
+    if p_hat.theta != q_hat.theta:
         raise ShapeError("meta-distributions must share a hypothesis base")
     sources = q_hat.support
     targets = p_hat.support
@@ -210,29 +176,22 @@ def find_dilation(p_hat: MetaDist, q_hat: MetaDist) -> Optional[Dilation]:
         return None
     if not verify(system, solution):
         raise WitnessError("solver returned an assignment that fails the dilation system")
-    sources = q_hat.support
     targets = p_hat.support
-    rows = []
-    for i, source in enumerate(sources):
-        row = MetaDist.from_pairs((targets[j], solution[_dvar(i, j)])
-                                  for j in range(len(targets)))
-        rows.append((source, row))
-    return Dilation(tuple(sorted(rows, key=lambda e: e[0])))
+    return Dilation((source, MetaDist.from_pairs((targets[j], solution[_dvar(i, j)])
+                                                 for j in range(len(targets))))
+                    for i, source in enumerate(q_hat.support))
 
 
-def derive_partial_evaluation(t: Dilation, q_hat: MetaDist) -> MetaMetaDist:
+def derive_partial_evaluation(t: Dilation, q_hat: MetaDist) -> FinDist:
     """Reading of a dilation as a partially evaluated double distribution.
 
-    Weights the row at each support point of q_hat by that point's mass;
-    flattening recovers the transported measure and pushing along the
-    barycenter recovers q_hat.
+    Pushes q_hat forward along its rows of t, all over one codomain;
+    ``findist.flatten`` of the result is the transported measure and pushing
+    each row to its barycenter recovers q_hat.
     """
-    acc: Dict[MetaDist, Fraction] = {}
-    for point, weight in q_hat.entries:
-        row = t.row(point)
-        acc[row] = acc.get(row, Fraction(0)) + weight
-    entries = tuple(sorted(acc.items(), key=lambda e: e[0].entries))
-    return MetaMetaDist(entries)
+    on_q = _restrict(t, q_hat)
+    rows = FiniteSet(dict.fromkeys(on_q.columns.values()))
+    return fd.pushforward(on_q.column, q_hat, rows)
 
 
 def recovery_map(f: Kernel, m: Kernel) -> Kernel:
@@ -243,19 +202,6 @@ def recovery_map(f: Kernel, m: Kernel) -> Kernel:
     almost surely wrt the prior.
     """
     return bayesian_inverse(sharp(bayesian_inverse(f, m)), compose(f, m))
-
-
-def dilation_kernel(t: Dilation, sources: Sequence[Point]) -> Kernel:
-    """Rows of a dilation packaged as a kernel between point sets."""
-    sources = tuple(sources)
-    targets = sorted({target for source in sources for target, _ in t.row(source).entries})
-    dom = FiniteSet(sources)
-    cod = FiniteSet(targets)
-    columns = {}
-    for source in sources:
-        row = t.row(source)
-        columns[source] = FinDist(RATIONAL, cod, dict(row.entries))
-    return Kernel(RATIONAL, dom, cod, columns)
 
 
 def _extend_kernel(k: Kernel, new_dom: FiniteSet) -> Kernel:
@@ -289,12 +235,7 @@ def garbling_to_dilation(c: Kernel, f: Kernel, g: Kernel, m: Kernel) -> Dilation
     f_hat = standard_experiment(f, m)
     c_hat = compose(sharp(bayesian_inverse(g, m)), compose(c, recovery_map(f, m)))
     t_dag = bayesian_inverse(c_hat, compose(f_hat, m))
-    rows = []
-    for point, _ in standard_measure(g, m).entries:
-        column = t_dag.column(point)
-        row = MetaDist.from_pairs((label, weight) for label, weight in column.items())
-        rows.append((point, row))
-    return Dilation(tuple(sorted(rows, key=lambda e: e[0])))
+    return Dilation((point, t_dag.column(point)) for point in standard_measure(g, m).support)
 
 
 def dilation_to_garbling(t: Dilation, f: Kernel, g: Kernel, m: Kernel) -> Kernel:
@@ -310,9 +251,8 @@ def dilation_to_garbling(t: Dilation, f: Kernel, g: Kernel, m: Kernel) -> Kernel
         raise WitnessError("rows do not average back to their sources")
     if transport(t, g_hat_m) != f_hat_m:
         raise WitnessError("dilation does not transport the standard measures")
-    sources = g_hat_m.support
-    t_k = dilation_kernel(t, sources)
-    t_dag = bayesian_inverse(t_k, state(FinDist(RATIONAL, t_k.dom, dict(g_hat_m.entries))))
+    t_k = _restrict(t, g_hat_m)
+    t_dag = bayesian_inverse(t_k, state(g_hat_m))
     sharp_f_dag = sharp(bayesian_inverse(f, m))
     r_g = recovery_map(g, m)
     lifted = _extend_kernel(t_dag, sharp_f_dag.cod)

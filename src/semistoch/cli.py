@@ -37,7 +37,7 @@ def _print_kernel(k: Kernel, indent: str = "  ") -> None:
 
 
 def _print_metadist(md: blackwell.MetaDist, indent: str = "  ") -> None:
-    for point, weight in md.entries:
+    for point, weight in md.items():
         coords = ", ".join(f"{w} (~{decimal_str(w)})" for w in point.weights)
         print(f"{indent}point ({coords})  weight {_fmt(weight)}")
 
@@ -120,7 +120,7 @@ def _cmd_bss(args) -> int:
             for source, row in report.dilation.rows:
                 coords = ",".join(str(w) for w in source.weights)
                 shares = ", ".join(f"({','.join(str(v) for v in p.weights)}): {_fmt(w)}"
-                                   for p, w in row.entries)
+                                   for p, w in row.items())
                 print(f"  row ({coords}) -> {shares}")
         if report.full_support:
             print(f"plain garbling (full-support prior): "

@@ -17,7 +17,7 @@ from . import findist as fd
 from .conditioning import ase, conditional
 from .errors import CapabilityError, ShapeError, WitnessError
 from .feasibility import LinearSystem, find_feasible, verify
-from .findist import FinDist, FiniteSet, product_set, unit_set
+from .findist import FinDist, FiniteSet, product_set
 from .kernel import (Kernel, compose, copy, discard, identity, marginalize,
                      recast, state, state_dist, tensor)
 from .semiring import RATIONAL, same_semiring

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from . import findist as fd
 from .errors import CapabilityError, DistributionError, ShapeError
-from .findist import FinDist, FiniteSet, atoms, join_atoms, product_set, split_set, unit_set
-from .kernel import (Kernel, compose, copy, discard, from_function, identity,
-                     marginalize, state, state_dist, swap, tensor)
+from .findist import FinDist, FiniteSet, atoms, join_atoms, product_set, split_set
+from .kernel import (Kernel, compose, copy, from_function, identity, marginalize,
+                     state_dist, swap, tensor)
 from .semiring import DIVISION, ORDERED_IDEMPOTENT, RATIONAL, same_semiring
 
 

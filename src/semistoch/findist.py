@@ -207,8 +207,12 @@ def flatten(phi: FinDist) -> FinDist:
 def product(p: FinDist, q: FinDist) -> FinDist:
     """Independent product: weight of (x, y) is p(x) * q(y)."""
     same_semiring(p.semiring, q.semiring)
+    return _product_on(product_set(p.base, q.base), p, q)
+
+
+def _product_on(base: FiniteSet, p: FinDist, q: FinDist) -> FinDist:
+    """Product of p and q over an already built product of their bases."""
     sr = p.semiring
-    base = product_set(p.base, q.base)
     acc = {}
     for x, px in p.items():
         for y, qy in q.items():

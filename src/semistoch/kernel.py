@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from . import findist as fd
-from .errors import DistributionError, ShapeError
+from .errors import ShapeError
 from .findist import FinDist, FiniteSet, atoms, join_atoms, product_set, split_set, unit_set
 from .semiring import Semiring, same_semiring
 
@@ -135,8 +135,9 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
     cod = product_set(f.cod, g.cod)
     columns = {}
     for a in f.dom.labels:
+        fa = f.column(a)
         for b in g.dom.labels:
-            columns[join_atoms(atoms(a) + atoms(b))] = fd.product(f.column(a), g.column(b))
+            columns[join_atoms(atoms(a) + atoms(b))] = fd._product_on(cod, fa, g.column(b))
     return Kernel(f.semiring, dom, cod, columns)
 
 

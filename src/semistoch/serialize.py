@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from .blackwell import BssReport, Dilation, MetaDist
 from .conditioning import Point
@@ -185,19 +185,19 @@ def point_to_json(point: Point) -> list:
 
 def metadist_to_json(md: MetaDist) -> Dict[str, Any]:
     return {
-        "base": [_label_to_json(l) for l in md.base],
-        "points": [point_to_json(p) for p, _ in md.entries],
-        "weights": [str(w) for _, w in md.entries],
-        "weights_approx": [decimal_str(w) for _, w in md.entries],
+        "base": [_label_to_json(l) for l in md.theta],
+        "points": [point_to_json(p) for p, _ in md.items()],
+        "weights": [str(w) for _, w in md.items()],
+        "weights_approx": [decimal_str(w) for _, w in md.items()],
     }
 
 
 def dilation_to_json(t: Dilation) -> Dict[str, Any]:
-    targets = sorted({target for _, row in t.rows for target, _ in row.entries})
     return {
-        "sources": [point_to_json(p) for p, _ in t.rows],
-        "targets": [point_to_json(p) for p in targets],
-        "rows": [[str(row.weight(target)) for target in targets] for _, row in t.rows],
+        "sources": [point_to_json(p) for p in t.dom.labels],
+        "targets": [point_to_json(p) for p in t.cod.labels],
+        "rows": [[str(t.weight(target, source)) for target in t.cod.labels]
+                 for source in t.dom.labels],
     }
 
 

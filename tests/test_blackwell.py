@@ -7,6 +7,7 @@ from semistoch import (
     ShapeError,
     FinDist,
     FiniteSet,
+    Kernel,
     MetaDist,
     Point,
     RATIONAL,
@@ -20,6 +21,7 @@ from semistoch import (
     dilation_to_garbling,
     find_dilation,
     find_garbling,
+    flatten,
     from_function,
     garbling_to_dilation,
     identity,
@@ -82,6 +84,55 @@ def test_metadist_validation():
     other_base = Point(("x", "y"), (Fraction(1), Fraction(0)))
     with pytest.raises(ShapeError):
         MetaDist.from_pairs([(P_SHARED, Fraction(1, 2)), (other_base, Fraction(1, 2))])
+
+
+def test_metadist_weight_off_support_is_zero(rod_f, rod_m):
+    md = standard_measure(rod_f, rod_m)
+    assert md.weight(P_FAIL_G) == 0
+    assert md.weight(HALF_POINT) == 0
+
+
+def test_standard_measure_is_a_findist(rod_f, rod_m):
+    md = standard_measure(rod_f, rod_m)
+    assert isinstance(md, FinDist)
+    assert md.base.labels == md.support == (P_FAIL_F, P_SHARED)
+    assert md.theta == THETA
+    assert md == FinDist(RATIONAL, FiniteSet([P_FAIL_F, P_SHARED]), dict(md.entries))
+
+
+def test_dilation_rejects_a_repeated_source():
+    row = MetaDist.from_pairs([(P_SHARED, Fraction(1))])
+    with pytest.raises(ShapeError):
+        Dilation(((P_SHARED, row), (P_SHARED, row)))
+
+
+def test_dilation_sorts_its_sources():
+    t = rod_dilation()
+    assert Dilation(reversed(t.rows)) == t
+    assert t.dom.labels == (P_FAIL_G, P_SHARED)
+    assert t.cod.labels == (P_FAIL_F, P_SHARED)
+
+
+def test_find_dilation_is_a_kernel(rod_f, rod_g, rod_m):
+    t = find_dilation(standard_measure(rod_f, rod_m), standard_measure(rod_g, rod_m))
+    assert isinstance(t, Kernel)
+    assert t == rod_dilation()
+
+
+def test_transport_is_composition(rod_f, rod_g, rod_m):
+    # Kleisli composition of the dilation with the state of ghat.
+    pairs = [(rod_f, rod_g, rod_m)]
+    pairs += [(inst.f, inst.g, inst.m) for inst in corpus.bss_corpus(200)]
+    feasible = 0
+    for f, g, m in pairs:
+        fhat, ghat = standard_measure(f, m), standard_measure(g, m)
+        t = find_dilation(fhat, ghat)
+        if t is None:
+            continue
+        feasible += 1
+        pushed = compose(t, state(FinDist(RATIONAL, t.dom, ghat.weights)))
+        assert MetaDist.from_pairs(pushed.column(()).items()) == transport(t, ghat) == fhat
+    assert feasible > 100
 
 
 def test_standard_experiment_rod_points(rod_f, rod_m):
@@ -253,15 +304,15 @@ def test_derive_partial_evaluation_rod(rod_f, rod_g, rod_m):
     ghat_m = standard_measure(rod_g, rod_m)
     t = rod_dilation()
     r = derive_partial_evaluation(t, ghat_m)
-    assert r.flatten() == fhat_m
-    assert r.push_barycenter() == ghat_m
+    assert flatten(r) == fhat_m
+    assert MetaDist.from_pairs((barycenter(row), w) for row, w in r.items()) == ghat_m
 
 
 def test_derive_partial_evaluation_identity(rod_f, rod_m):
     md = standard_measure(rod_f, rod_m)
     r = derive_partial_evaluation(identity_dilation(md), md)
-    assert r.flatten() == md
-    assert r.push_barycenter() == md
+    assert flatten(r) == md
+    assert MetaDist.from_pairs((barycenter(row), w) for row, w in r.items()) == md
 
 
 def test_recovery_map_rod(rod_f, rod_m):

@@ -9,7 +9,6 @@ from semistoch import (
     PAIR_RATIONAL,
     RATIONAL,
     ShapeError,
-    TRILATTICE,
     compose,
     copy,
     dirac,
