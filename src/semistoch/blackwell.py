@@ -21,10 +21,10 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from . import findist as fd
 from .conditioning import Point, ase, bayesian_inverse, point_of, samp_on, sharp
 from .errors import DistributionError, ShapeError, WitnessError
-from .feasibility import LinearSystem, find_feasible, verify
+from .feasibility import LinearSystem
 from .findist import FinDist, FiniteSet
 from .kernel import Kernel, compose, copy, from_function, identity, state, state_dist, tensor
-from .comparison import find_garbling_as
+from .comparison import find_garbling_as, solve_channel
 from .semiring import RATIONAL
 
 
@@ -46,7 +46,7 @@ class MetaDist(FinDist):
         """Merge repeated points and drop zero weights."""
         acc: Dict[Point, Fraction] = {}
         for point, weight in pairs:
-            weight = RATIONAL.check(Fraction(weight))
+            weight = RATIONAL.check(weight)
             if weight != 0:
                 acc[point] = acc.get(point, Fraction(0)) + weight
         try:
@@ -151,35 +151,24 @@ def dilation_system(p_hat: MetaDist, q_hat: MetaDist) -> LinearSystem:
     """
     if p_hat.theta != q_hat.theta:
         raise ShapeError("meta-distributions must share a hypothesis base")
-    sources = q_hat.support
-    targets = p_hat.support
-    names = [_dvar(i, j) for i in range(len(sources)) for j in range(len(targets))]
-    system = LinearSystem(names)
-    for i, source in enumerate(sources):
-        system.add_equality({_dvar(i, j): Fraction(1) for j in range(len(targets))},
-                            Fraction(1))
-        for pos in range(len(source.weights)):
-            coeffs = {_dvar(i, j): targets[j].weights[pos] for j in range(len(targets))
-                      if targets[j].weights[pos] != 0}
-            system.add_equality(coeffs, source.weights[pos])
-    for j in range(len(targets)):
-        coeffs = {_dvar(i, j): q_hat.weight(sources[i]) for i in range(len(sources))}
-        system.add_equality(coeffs, p_hat.weight(targets[j]))
+    sources, targets = q_hat.support, p_hat.support
+    rows = [[_dvar(i, j) for j, _ in enumerate(targets)] for i, _ in enumerate(sources)]
+    system = LinearSystem(name for row in rows for name in row)
+    for row, source in zip(rows, sources):
+        system.add_equality(dict.fromkeys(row, Fraction(1)), Fraction(1))
+        for pos, coord in enumerate(source.weights):
+            system.add_equality({name: target.weights[pos] for name, target in zip(row, targets)},
+                                coord)
+    for j, mass in enumerate(p_hat.weights.values()):
+        system.add_equality({row[j]: weight for row, weight in zip(rows, q_hat.weights.values())},
+                            mass)
     return system
 
 
 def find_dilation(p_hat: MetaDist, q_hat: MetaDist) -> Optional[Dilation]:
     """A dilation witnessing second-order dominance of q_hat over p_hat."""
-    system = dilation_system(p_hat, q_hat)
-    solution = find_feasible(system)
-    if solution is None:
-        return None
-    if not verify(system, solution):
-        raise WitnessError("solver returned an assignment that fails the dilation system")
-    targets = p_hat.support
-    return Dilation((source, MetaDist.from_pairs((targets[j], solution[_dvar(i, j)])
-                                                 for j in range(len(targets))))
-                    for i, source in enumerate(q_hat.support))
+    t = solve_channel(dilation_system(p_hat, q_hat), q_hat.base, p_hat.base)
+    return None if t is None else Dilation(t.columns.items())
 
 
 def derive_partial_evaluation(t: Dilation, q_hat: MetaDist) -> FinDist:
@@ -213,13 +202,6 @@ def _extend_kernel(k: Kernel, new_dom: FiniteSet) -> Kernel:
     columns = {label: (k.columns[label] if label in k.dom else fill)
                for label in new_dom.labels}
     return Kernel(RATIONAL, new_dom, k.cod, columns)
-
-
-def _inclusion(sub: FiniteSet, sup: FiniteSet) -> Kernel:
-    for label in sub.labels:
-        if label not in sup:
-            raise ShapeError(f"label {label!r} missing from the larger set")
-    return from_function(RATIONAL, sub, sup, lambda a: a)
 
 
 def garbling_to_dilation(c: Kernel, f: Kernel, g: Kernel, m: Kernel) -> Dilation:
@@ -256,7 +238,8 @@ def dilation_to_garbling(t: Dilation, f: Kernel, g: Kernel, m: Kernel) -> Kernel
     sharp_f_dag = sharp(bayesian_inverse(f, m))
     r_g = recovery_map(g, m)
     lifted = _extend_kernel(t_dag, sharp_f_dag.cod)
-    c = compose(r_g, compose(_inclusion(t_k.dom, r_g.dom), compose(lifted, sharp_f_dag)))
+    include = from_function(RATIONAL, t_k.dom, r_g.dom, lambda p: p)
+    c = compose(r_g, compose(include, compose(lifted, sharp_f_dag)))
     if not ase(compose(c, f), g, m):
         raise WitnessError("extracted channel failed verification")
     return c
@@ -270,8 +253,12 @@ class BssReport:
     g_hat_m: MetaDist
     garbling: Optional[Kernel]
     dilation: Optional[Dilation]
-    plain_garbling: Optional[Kernel]
     full_support: bool
+
+    @property
+    def plain_garbling(self) -> Optional[Kernel]:
+        """The exact garbling, reported on a full-support prior (see bss_check)."""
+        return self.garbling if self.full_support else None
 
     @property
     def garbling_feasible(self) -> bool:
@@ -299,9 +286,8 @@ def bss_check(f: Kernel, g: Kernel, m: Kernel) -> BssReport:
     g_hat_m = standard_measure(g, m)
     dilation = find_dilation(f_hat_m, g_hat_m)
     full = len(state_dist(m).support) == len(f.dom)
-    plain = garbling if full else None
     return BssReport(f_hat_m=f_hat_m, g_hat_m=g_hat_m, garbling=garbling,
-                     dilation=dilation, plain_garbling=plain, full_support=full)
+                     dilation=dilation, full_support=full)
 
 
 def verify_samp_is_bayesian_inverse(f: Kernel, m: Kernel) -> bool:

@@ -118,10 +118,8 @@ def _cmd_bss(args) -> int:
               f"{'feasible' if report.dilation_feasible else 'infeasible'}")
         if report.dilation is not None:
             for source, row in report.dilation.rows:
-                coords = ",".join(str(w) for w in source.weights)
-                shares = ", ".join(f"({','.join(str(v) for v in p.weights)}): {_fmt(w)}"
-                                   for p, w in row.items())
-                print(f"  row ({coords}) -> {shares}")
+                shares = ", ".join(f"({p.text()}): {_fmt(w)}" for p, w in row.items())
+                print(f"  row ({source.text()}) -> {shares}")
         if report.full_support:
             print(f"plain garbling (full-support prior): "
                   f"{'feasible' if report.plain_garbling is not None else 'infeasible'}")

@@ -17,9 +17,9 @@ from . import findist as fd
 from .conditioning import ase, conditional
 from .errors import CapabilityError, ShapeError, WitnessError
 from .feasibility import LinearSystem, find_feasible, verify
-from .findist import FinDist, FiniteSet, product_set
-from .kernel import (Kernel, compose, copy, discard, identity, marginalize,
-                     recast, state, state_dist, tensor)
+from .findist import FinDist, FiniteSet
+from .kernel import (Kernel, compose, copy, discard, identity, marginalize, state,
+                     state_dist, tensor)
 from .semiring import RATIONAL, same_semiring
 
 
@@ -52,27 +52,35 @@ def garbling_system(f: Kernel, g: Kernel, support) -> LinearSystem:
         system.add_equality({_var(y, x): Fraction(1) for y in y_set.labels}, Fraction(1))
     for theta in support:
         for y in y_set.labels:
-            coeffs = {}
-            for x in x_set.labels:
-                weight = f.weight(x, theta)
-                if weight != 0:
-                    coeffs[_var(y, x)] = weight
-            system.add_equality(coeffs, g.weight(y, theta))
+            system.add_equality({_var(y, x): f.weight(x, theta) for x in x_set.labels},
+                                g.weight(y, theta))
     return system
 
 
-def _solve_garbling(f: Kernel, g: Kernel, support) -> Optional[Kernel]:
-    system = garbling_system(f, g, support)
+def solve_channel(system: LinearSystem, dom: FiniteSet, cod: FiniteSet) -> Optional[Kernel]:
+    """The rational channel dom -> cod that solves system, or None if none does.
+
+    The system's variables are the channel weights, input-major: the weight
+    of the j-th output at the i-th input is variable ``i * len(cod) + j``.
+    The solver's assignment is checked against the system exactly before
+    it is read back.
+    """
+    if len(system.variables) != len(dom) * len(cod):
+        raise ShapeError("channel system needs one variable per (input, output) pair")
     solution = find_feasible(system)
     if solution is None:
         return None
     if not verify(system, solution):
-        raise WitnessError("solver returned an assignment that fails the garbling system")
-    columns = {}
-    for x in f.cod.labels:
-        weights = {y: solution[_var(y, x)] for y in g.cod.labels}
-        columns[x] = FinDist(RATIONAL, g.cod, weights)
-    return Kernel(RATIONAL, f.cod, g.cod, columns)
+        raise WitnessError("solver returned an assignment that fails its system")
+    values = [solution[name] for name in system.variables]
+    n = len(cod)
+    return Kernel(RATIONAL, dom, cod,
+                  {x: FinDist(RATIONAL, cod, dict(zip(cod.labels, values[i * n:])))
+                   for i, x in enumerate(dom.labels)})
+
+
+def _solve_garbling(f: Kernel, g: Kernel, support) -> Optional[Kernel]:
+    return solve_channel(garbling_system(f, g, support), f.cod, g.cod)
 
 
 def find_garbling(f: Kernel, g: Kernel) -> Optional[Kernel]:
@@ -157,6 +165,13 @@ class CondIndepWitness:
     cprime: Kernel
 
 
+def _joint(m: Kernel, k: Kernel) -> Kernel:
+    """The joint state of a prior m on Theta and k out of Theta, over Theta (x) cod(k)."""
+    sr = k.semiring
+    theta = k.dom
+    return compose(tensor(identity(sr, theta), k), compose(copy(sr, theta), m))
+
+
 def conditional_independence_witness(h: Kernel, m: Kernel) -> CondIndepWitness:
     """Build the joint state of (m, h) and its chain decomposition.
 
@@ -168,15 +183,10 @@ def conditional_independence_witness(h: Kernel, m: Kernel) -> CondIndepWitness:
     theta = h.dom
     if state_dist(m).base != theta:
         raise ShapeError("prior must be a state on the domain of h")
-    sr = h.semiring
-    x_set, y_set = fd.split_set(h.cod)
-    mu = compose(tensor(identity(sr, theta), h), compose(copy(sr, theta), m))
-    mu_xy = recast(compose(tensor(discard(sr, theta), identity(sr, h.cod)), mu),
-                   cod=product_set(x_set, y_set))
+    mu = _joint(m, h)
+    mu_xy = marginalize(mu, "right")
     n = marginalize(mu_xy, "left")
-    mu_tx = recast(compose(tensor(identity(sr, theta),
-                                  tensor(identity(sr, x_set), discard(sr, y_set))), mu),
-                   cod=product_set(theta, x_set))
+    mu_tx = _joint(m, marginalize(h, "left"))
     k = conditional(mu_tx, wrt="right")
     cprime = conditional(mu_xy, wrt="left")
     return CondIndepWitness(mu=mu, n=n, k=k, cprime=cprime)
@@ -195,9 +205,6 @@ def verify_conditional_independence(w: CondIndepWitness, f: Kernel, g: Kernel,
     theta = f.dom
     x_set, y_set = f.cod, g.cod
 
-    def joint_with(k: Kernel) -> Kernel:
-        return compose(tensor(identity(sr, theta), k), compose(copy(sr, theta), m))
-
     mu_theta = compose(tensor(identity(sr, theta),
                               tensor(discard(sr, x_set), discard(sr, y_set))), w.mu)
     cond_a = mu_theta == m
@@ -209,11 +216,11 @@ def verify_conditional_independence(w: CondIndepWitness, f: Kernel, g: Kernel,
 
     mu_tx = compose(tensor(identity(sr, theta),
                            tensor(identity(sr, x_set), discard(sr, y_set))), w.mu)
-    cond_c = mu_tx == joint_with(f)
+    cond_c = mu_tx == _joint(m, f)
 
     mu_ty = compose(tensor(identity(sr, theta),
                            tensor(discard(sr, x_set), identity(sr, y_set))), w.mu)
-    cond_d = mu_ty == joint_with(g)
+    cond_d = mu_ty == _joint(m, g)
 
     return {"prior_marginal": cond_a, "chain_factorization": cond_b,
             "observation_part": cond_c, "outcome_part": cond_d}

@@ -94,8 +94,11 @@ def ase(f: Kernel, g: Kernel, wrt: Kernel) -> bool:
     """Almost-sure equality of parallel kernels relative to a reference.
 
     ``f, g : X -> Y`` agree wrt ``h : A -> X`` when pairing each with a copy
-    of its input and precomposing with h yields equal kernels; over finite
-    supports this means the columns agree wherever h puts mass.
+    of its input and precomposing with h yields equal kernels.  Over rational
+    weights this means the columns agree wherever h puts mass.  Other
+    semirings can absorb the difference: over the trilattice eps * 1 and
+    eps * eps are both eps, so columns that differ only by where they put
+    1 and eps agree at an input h charges with eps.
     """
     same_semiring(f.semiring, g.semiring)
     same_semiring(f.semiring, wrt.semiring)
@@ -132,11 +135,18 @@ class Point:
     def __post_init__(self):
         if len(self.base) != len(self.weights):
             raise DistributionError("point length mismatch")
+        if not all(isinstance(w, (int, Fraction)) for w in self.weights):
+            raise DistributionError(f"point weights must be exact rationals, got {self.weights!r}")
         object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
         if any(w < 0 for w in self.weights):
             raise DistributionError("point weights must be nonnegative")
         if sum(self.weights) != 1:
             raise DistributionError("point weights must sum to one")
+        # Points are dict and set keys everywhere; hash their Fractions once.
+        object.__setattr__(self, "_hash", hash((self.base, self.weights)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def weight(self, label) -> Fraction:
         return self.weights[self.base.index(label)]
@@ -182,12 +192,8 @@ def samp_on(points: Sequence[Point]) -> Kernel:
     base = points[0].base
     if any(p.base != base for p in points):
         raise ShapeError("points must share a base")
-    dom = FiniteSet(points)
-    theta = FiniteSet(base)
-    columns = {p: FinDist(RATIONAL, theta,
-                          {l: w for l, w in zip(base, p.weights) if w != 0})
-               for p in points}
-    return Kernel(RATIONAL, dom, theta, columns)
+    return Kernel(RATIONAL, FiniteSet(points), FiniteSet(base),
+                  {p: point_dist(p) for p in points})
 
 
 def doubling(f: Kernel, given: str = "left") -> Kernel:
@@ -199,20 +205,18 @@ def doubling(f: Kernel, given: str = "left") -> Kernel:
     marginals kill every term they could influence.
     """
     sr = f.semiring
-    left, right = split_set(f.cod)
+    x_set, y_set = split_set(f.cod)
     a_set = f.dom
     k = conditional(f, wrt=given)
     base = compose(tensor(f, identity(sr, a_set)), copy(sr, a_set))  # A -> X.Y.A
     if given == "left":
-        x_set, y_set = left, right
         dup = tensor(copy(sr, x_set), tensor(identity(sr, y_set), identity(sr, a_set)))
         perm = tensor(identity(sr, x_set), tensor(swap(sr, x_set, y_set), identity(sr, a_set)))
         feed = tensor(identity(sr, x_set), tensor(identity(sr, y_set), k))
-        return compose(feed, compose(perm, compose(dup, base)))
-    x_set, y_set = left, right
-    dup = tensor(identity(sr, x_set), tensor(copy(sr, y_set), identity(sr, a_set)))
-    perm = tensor(identity(sr, x_set), swap(sr, y_set, product_set(y_set, a_set)))
-    feed = tensor(identity(sr, x_set), tensor(k, identity(sr, y_set)))
+    else:
+        dup = tensor(identity(sr, x_set), tensor(copy(sr, y_set), identity(sr, a_set)))
+        perm = tensor(identity(sr, x_set), swap(sr, y_set, product_set(y_set, a_set)))
+        feed = tensor(identity(sr, x_set), tensor(k, identity(sr, y_set)))
     return compose(feed, compose(perm, compose(dup, base)))
 
 

@@ -34,13 +34,19 @@ class LinearSystem:
         for name, value in coeffs.items():
             if name not in self._index:
                 raise ShapeError(f"unknown variable {name!r}")
-            value = Fraction(value)
+            value = _exact(value, f"coefficient of {name!r}")
             if value != 0:
                 row[name] = value
-        self.equalities.append((row, Fraction(rhs)))
+        self.equalities.append((row, _exact(rhs, "right-hand side")))
 
     def __repr__(self) -> str:
         return f"LinearSystem({len(self.variables)} vars, {len(self.equalities)} equalities)"
+
+
+def _exact(value, what: str) -> Fraction:
+    if not isinstance(value, (int, Fraction)):
+        raise ShapeError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def verify(system: LinearSystem, assignment: Mapping[str, Fraction]) -> bool:

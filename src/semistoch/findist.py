@@ -10,7 +10,7 @@ conditioning.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import CapabilityError, DistributionError, ShapeError
 from .semiring import Semiring, same_semiring
@@ -119,11 +119,10 @@ class FinDist:
         if unknown:
             raise DistributionError(f"weight on labels outside the base: {unknown!r}")
         clean: Dict[Label, Any] = {}
-        for label in base.labels:  # canonical iteration order
-            if label in weights:
-                value = semiring.check(weights[label])
-                if not semiring.is_zero(value):
-                    clean[label] = value
+        for label in sorted(weights, key=base.index):  # canonical iteration order
+            value = semiring.check(weights[label])
+            if not semiring.is_zero(value):
+                clean[label] = value
         if not semiring.eq(semiring.sum(clean.values()), semiring.one):
             raise DistributionError(
                 f"weights must sum to one ({semiring.format(semiring.sum(clean.values()))} over {semiring.name})")
@@ -220,19 +219,20 @@ def _product_on(base: FiniteSet, p: FinDist, q: FinDist) -> FinDist:
     return FinDist(sr, base, acc)
 
 
-def marginal(p: FinDist, side: str) -> FinDist:
-    """Sum out one factor of a distribution over a recorded product."""
-    left, right = split_set(p.base)
+def _projection(product: FiniteSet, side: str) -> Tuple[FiniteSet, Callable[[Label], Label]]:
+    """The kept factor of a recorded product and the label map onto it."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    keep = left if side == "left" else right
-    sr = p.semiring
-    acc: Dict[Label, Any] = {}
-    for label, value in p.items():
-        l, r = split_label(label, left.arity)
-        part = l if side == "left" else r
-        acc[part] = sr.add(acc.get(part, sr.zero), value)
-    return FinDist(sr, keep, acc)
+    left, right = split_set(product)
+    if side == "left":
+        return left, lambda label: split_label(label, left.arity)[0]
+    return right, lambda label: split_label(label, left.arity)[1]
+
+
+def marginal(p: FinDist, side: str) -> FinDist:
+    """Sum out one factor of a distribution over a recorded product."""
+    keep, project = _projection(p.base, side)
+    return pushforward(project, p, keep)
 
 
 def uniform(semiring: Semiring, base: FiniteSet) -> FinDist:

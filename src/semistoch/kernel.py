@@ -9,11 +9,11 @@ column-wise.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping
 
 from . import findist as fd
 from .errors import ShapeError
-from .findist import FinDist, FiniteSet, atoms, join_atoms, product_set, split_set, unit_set
+from .findist import FinDist, FiniteSet, atoms, join_atoms, product_set, unit_set
 from .semiring import Semiring, same_semiring
 
 Label = Any
@@ -143,30 +143,9 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
 
 def marginalize(f: Kernel, side: str) -> Kernel:
     """Column-wise marginal onto one factor of a product codomain."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    left, right = split_set(f.cod)
-    keep = left if side == "left" else right
-    sr = f.semiring
-    columns = {}
-    for a in f.dom.labels:
-        acc: Dict[Label, Any] = {}
-        for label, value in f.column(a).items():
-            l, r = fd.split_label(label, left.arity)
-            part = l if side == "left" else r
-            acc[part] = sr.add(acc.get(part, sr.zero), value)
-        columns[a] = FinDist(sr, keep, acc)
-    return Kernel(sr, f.dom, keep, columns)
-
-
-def recast(f: Kernel, dom: Optional[FiniteSet] = None, cod: Optional[FiniteSet] = None) -> Kernel:
-    """Replace dom/cod by label-identical sets (factor bookkeeping only)."""
-    new_dom = dom if dom is not None else f.dom
-    new_cod = cod if cod is not None else f.cod
-    if new_dom.labels != f.dom.labels or new_cod.labels != f.cod.labels:
-        raise ShapeError("recast must preserve labels exactly")
-    columns = {a: FinDist(f.semiring, new_cod, f.column(a).weights) for a in f.dom.labels}
-    return Kernel(f.semiring, new_dom, new_cod, columns)
+    keep, project = fd._projection(f.cod, side)
+    return Kernel(f.semiring, f.dom, keep,
+                  {a: fd.pushforward(project, col, keep) for a, col in f.columns.items()})
 
 
 def is_deterministic(f: Kernel) -> bool:

@@ -47,8 +47,6 @@ def _label_to_json(label) -> Any:
         return label
     if isinstance(label, tuple):
         return list(label)
-    if isinstance(label, Point):
-        return point_to_json(label)
     raise LoadError(f"label {label!r} has no file representation")
 
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,13 @@ def test_metadist_validation():
     other_base = Point(("x", "y"), (Fraction(1), Fraction(0)))
     with pytest.raises(ShapeError):
         MetaDist.from_pairs([(P_SHARED, Fraction(1, 2)), (other_base, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize("weight", [0.5, "1/2", Decimal("0.5")],
+                         ids=["float", "string", "decimal"])
+def test_metadist_from_pairs_rejects_inexact_weights(weight):
+    with pytest.raises(ShapeError):
+        MetaDist.from_pairs([(P_SHARED, weight), (P_FAIL_F, weight)])
 
 
 def test_metadist_weight_off_support_is_zero(rod_f, rod_m):
@@ -269,9 +277,9 @@ def test_find_dilation_rod(rod_f, rod_g, rod_m):
 
 
 def test_find_dilation_verifies_solver_assignment(monkeypatch, rod_f, rod_g, rod_m):
-    import semistoch.blackwell as blackwell
+    import semistoch.comparison as comparison
 
-    monkeypatch.setattr(blackwell, "find_feasible",
+    monkeypatch.setattr(comparison, "find_feasible",
                         lambda system: {name: Fraction(1) for name in system.variables})
     with pytest.raises(WitnessError):
         find_dilation(standard_measure(rod_f, rod_m), standard_measure(rod_g, rod_m))
@@ -400,7 +408,6 @@ def test_bss_check_rod(rod_f, rod_g, rod_m):
 
 
 def test_bss_check_full_support_solves_the_garbling_once(monkeypatch, rod_f, rod_g, rod_m):
-    import semistoch.blackwell as blackwell
     import semistoch.comparison as comparison
     from semistoch.feasibility import find_feasible
 
@@ -410,8 +417,7 @@ def test_bss_check_full_support_solves_the_garbling_once(monkeypatch, rod_f, rod
         calls.append(system)
         return find_feasible(system)
 
-    for module in (blackwell, comparison):
-        monkeypatch.setattr(module, "find_feasible", counted)
+    monkeypatch.setattr(comparison, "find_feasible", counted)
     report = bss_check(rod_f, rod_g, rod_m)
     assert report.full_support
     assert len(calls) == 2  # the almost-sure garbling and the dilation

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,20 @@ def test_ase_reflexive_and_support_sensitive():
         assert not ase(f, g, full)
 
 
+def test_ase_on_the_trilattice_hides_a_difference_at_an_eps_input():
+    # eps * 1 == eps * eps == eps, so the x2 columns differ yet f and g agree
+    x = FiniteSet(["x1", "x2"])
+    y = FiniteSet(["y1", "y2"])
+    at_x1 = dirac(TRILATTICE, y, "y1")
+    f = Kernel(TRILATTICE, x, y, {"x1": at_x1,
+                                  "x2": FinDist(TRILATTICE, y, {"y1": TRI_ONE, "y2": TRI_EPS})})
+    g = Kernel(TRILATTICE, x, y, {"x1": at_x1,
+                                  "x2": FinDist(TRILATTICE, y, {"y1": TRI_EPS, "y2": TRI_ONE})})
+    wrt = state(FinDist(TRILATTICE, x, {"x1": TRI_ONE, "x2": TRI_EPS}))
+    assert f.column("x2") != g.column("x2")
+    assert ase(f, g, wrt)
+
+
 def test_dominates_is_support_inclusion():
     half = state(FinDist(RATIONAL, AB, {"a": Fraction(1, 2), "b": Fraction(1, 2)}))
     da = state(dirac(RATIONAL, AB, "a"))
@@ -287,6 +302,18 @@ def test_dominates_requires_rationals():
     s = state(FinDist(TRILATTICE, AB, {"a": TRI_ONE}))
     with pytest.raises(CapabilityError):
         dominates(s, s)
+
+
+@pytest.mark.parametrize("weights", [
+    (0.5, 0.5),
+    (Fraction(1, 2), 0.5),
+    (1.0, 0),
+    ("1/2", "1/2"),
+    (Decimal("0.5"), Decimal("0.5")),
+], ids=["floats", "one-float", "float-one", "strings", "decimals"])
+def test_point_rejects_inexact_coordinates(weights):
+    with pytest.raises(DistributionError):
+        Point(("a", "b"), weights)
 
 
 def test_point_validation_and_text():
@@ -445,14 +472,14 @@ def test_is_deterministic_given():
 
 
 def test_is_deterministic_given_unit_reduces_to_deterministic():
-    from semistoch import recast
-
+    unit_cd = product_set(unit_set(), CD)
     for det in (True, False):
         if det:
             f = from_function(RATIONAL, AB, CD, lambda a: "c")
         else:
             f = Kernel(RATIONAL, AB, CD, {a: uniform(RATIONAL, CD) for a in AB.labels})
-        lifted = recast(f, cod=product_set(unit_set(), CD))
+        lifted = Kernel(RATIONAL, AB, unit_cd,
+                        {a: FinDist(RATIONAL, unit_cd, f.column(a).weights) for a in AB.labels})
         assert is_deterministic_given(lifted, given="left") == is_deterministic(f)
 
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,26 @@ def test_unknown_variable_rejected():
         sys_.add_equality({"z": 1}, 0)
     with pytest.raises(ShapeError):
         LinearSystem(["x", "x"])
+
+
+@pytest.mark.parametrize("coeffs, rhs", [
+    ({"x": 0.1}, Fraction(1, 10)),
+    ({"x": 1}, 0.1),
+    ({"x": 0.0}, 0),
+    ({"x": "1/2"}, 1),
+    ({"x": 1}, Decimal(1)),
+], ids=["float-coefficient", "float-rhs", "float-zero", "string", "decimal-rhs"])
+def test_add_equality_rejects_inexact_values(coeffs, rhs):
+    sys_ = LinearSystem(["x"])
+    with pytest.raises(ShapeError):
+        sys_.add_equality(coeffs, rhs)
+    assert sys_.equalities == []
+
+
+def test_add_equality_keeps_negative_exact_values():
+    sys_ = LinearSystem(["x", "y"])
+    sys_.add_equality({"x": -1, "y": Fraction(-1, 2)}, Fraction(-3, 4))
+    assert sys_.equalities == [({"x": Fraction(-1), "y": Fraction(-1, 2)}, Fraction(-3, 4))]
 
 
 def test_verify_is_exact():
