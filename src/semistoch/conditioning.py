@@ -135,7 +135,7 @@ class Point:
     def __post_init__(self):
         if len(self.base) != len(self.weights):
             raise DistributionError("point length mismatch")
-        if not all(isinstance(w, (int, Fraction)) for w in self.weights):
+        if any(isinstance(w, bool) or not isinstance(w, (int, Fraction)) for w in self.weights):
             raise DistributionError(f"point weights must be exact rationals, got {self.weights!r}")
         object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
         if any(w < 0 for w in self.weights):

@@ -1,16 +1,24 @@
 """Exact feasibility of linear equality systems over nonnegative rationals.
 
-Phase-1 simplex on Fraction arithmetic with Bland's anti-cycling rule.
-The tableau is sparse: each row maps a column to its nonzero entry, so a
-pivot touches only the nonzeros of the pivot row, and only in the rows
-with a nonzero entry in the entering column.  The pivot rule is the one a
-dense tableau would follow, entry for entry.  Deterministic: the same
-system always yields the same verdict and the same witness assignment.
+Phase-1 simplex with Bland's anti-cycling rule on integer tableau rows.
+Each row is stored as a positive integer multiple of the rational row it
+stands for, scaled by the lcm of its denominators when built and divided by
+the gcd of its entries after each elimination.  A positive scale changes no
+sign and cancels from every ratio the ratio test compares, so each pivot,
+verdict and witness is the one a ``Fraction`` tableau gives.  ``Fraction``
+appears only where rows are built and where the solution is read out.
+
+The tableau is sparse: each row maps a column to its nonzero entry, and a
+pivot rewrites only the rows with a nonzero entry in the entering column.
+The pivot rule is the one a dense tableau would follow, entry for entry.
+Deterministic: the same system always yields the same verdict and the same
+witness assignment.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import ShapeError
@@ -44,7 +52,7 @@ class LinearSystem:
 
 
 def _exact(value, what: str) -> Fraction:
-    if not isinstance(value, (int, Fraction)):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ShapeError(f"{what} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
 
@@ -68,19 +76,30 @@ def verify(system: LinearSystem, assignment: Mapping[str, Fraction]) -> bool:
     return True
 
 
-def _eliminate(row: Dict[int, Fraction], factor: Fraction, pivot_row: Dict[int, Fraction]) -> None:
-    """row -= factor * pivot_row, in place, dropping entries that become zero."""
-    neg = -factor
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """row divided by the gcd of its entries, a positive integer."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _combine(row: Dict[int, int], p: int, q: int, pivot_row: Dict[int, int]) -> Dict[int, int]:
+    """p*row - q*pivot_row, zeros dropped, made primitive.
+
+    With p > 0 the result is a positive multiple of the rational row it
+    stands for.  Dividing p and q by their gcd first leaves the whole row
+    unscaled whenever p divides q; the input row is then updated in place.
+    """
+    g = gcd(p, q)
+    p //= g
+    q //= g
+    out = {j: p * v for j, v in row.items()} if p != 1 else row
     for j, w in pivot_row.items():
-        v = row.get(j)
-        if v is None:
-            row[j] = neg * w
+        v = out.get(j, 0) - q * w
+        if v:
+            out[j] = v
         else:
-            v += neg * w
-            if v:
-                row[j] = v
-            else:
-                del row[j]
+            del out[j]
+    return _primitive(out)
 
 
 def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
@@ -90,59 +109,78 @@ def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
     row.  Bland's rule (smallest eligible index enters; among minimum
     ratios the row whose basic variable has the smallest index leaves)
     guarantees termination without cycling.
+
+    Each tableau row, and the objective row, is stored as column -> nonzero
+    int: a positive multiple of the rational row it stands for, kept
+    primitive (its entries have gcd 1).  A positive scale keeps every sign,
+    so the entering column is the rational tableau's; the ratio
+    rhs_i / a_ie does not depend on the scale of row i, and two ratios are
+    compared by cross-multiplying.  Eliminating the entering column from a
+    row is row <- p*row - q*pivot_row, with p > 0 the pivot entry and q the
+    row's own entry, then division by the gcd.  A basic variable's value is
+    rhs_i over its own entry in row i.
     """
     n = len(system.variables)
     m = len(system.equalities)
     if m == 0:
         return {name: Fraction(0) for name in system.variables}
 
-    # Sparse tableau rows, column -> nonzero entry: n structural columns,
-    # m artificial columns, then the rhs at column n + m.
+    # Sparse integer rows: n structural columns, m artificial columns, then
+    # the rhs at column n + m.  Row i is scaled by the lcm of its
+    # denominators, negated when its rhs is negative, so its artificial
+    # entry is that lcm and the row has gcd 1.
     rhs = n + m
-    rows: List[Dict[int, Fraction]] = []
+    rows: List[Dict[int, int]] = []
     for i, (coeffs, b) in enumerate(system.equalities):
-        row = {system._index[name]: value for name, value in coeffs.items()}
+        scale = lcm(b.denominator, *(v.denominator for v in coeffs.values()))
+        sign = -1 if b < 0 else 1
+        row = {system._index[name]: sign * v.numerator * (scale // v.denominator)
+               for name, v in coeffs.items()}
         if b != 0:
-            row[rhs] = b
-        if b < 0:
-            row = {j: -v for j, v in row.items()}
-        row[n + i] = Fraction(1)
+            row[rhs] = sign * b.numerator * (scale // b.denominator)
+        row[n + i] = scale
         rows.append(row)
     basis = [n + i for i in range(m)]
 
-    # Phase-1 objective row: reduced costs for cost vector (0,...,0,1,...,1).
-    # Each artificial column's cost cancels its unit entry, leaving zero.
-    obj: Dict[int, Fraction] = {}
-    for row in rows:
+    # Phase-1 objective row: reduced costs for cost vector (0,...,0,1,...,1),
+    # minus the sum of the rational rows off the artificial columns, where
+    # each artificial's cost cancels its unit entry.  Row i stands for
+    # row / scale_i, scale_i its artificial entry, so it is weighted by
+    # common // scale_i.
+    common = lcm(*(row[n + i] for i, row in enumerate(rows)))
+    obj: Dict[int, int] = {}
+    for i, row in enumerate(rows):
+        k = common // row[n + i]
         for j, v in row.items():
             if j < n or j == rhs:
-                obj[j] = obj.get(j, 0) - v
-    obj = {j: v for j, v in obj.items() if v}
+                obj[j] = obj.get(j, 0) - k * v
+    obj = _primitive({j: v for j, v in obj.items() if v})
 
     while True:
         entering = min((j for j, v in obj.items() if v < 0 and j != rhs), default=-1)
         if entering < 0:
             break
         leaving = -1
-        best: Optional[Fraction] = None
+        best_b, best_coef = 1, 0  # the ratio 1/0, above every candidate's
         for i, row in enumerate(rows):
             coef = row.get(entering)
             if coef is not None and coef > 0:
-                ratio = row.get(rhs, 0) / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+                b = row.get(rhs, 0)
+                cross = b * best_coef - best_b * coef  # sign of b/coef - best_b/best_coef
+                if cross < 0 or (cross == 0 and basis[i] < basis[leaving]):
+                    best_b, best_coef = b, coef
                     leaving = i
         if leaving < 0:
             raise RuntimeError("phase-1 objective unbounded; inconsistent tableau")
         pivot_row = rows[leaving]
         pivot = pivot_row[entering]
-        if pivot != 1:
-            pivot_row = rows[leaving] = {j: v / pivot for j, v in pivot_row.items()}
         for i, row in enumerate(rows):
-            if i != leaving and entering in row:
-                _eliminate(row, row[entering], pivot_row)
-        if entering in obj:
-            _eliminate(obj, obj[entering], pivot_row)
+            q = row.get(entering)
+            if q is not None and i != leaving:
+                rows[i] = _combine(row, pivot, q, pivot_row)
+        q = obj.get(entering)
+        if q is not None:
+            obj = _combine(obj, pivot, q, pivot_row)
         basis[leaving] = entering
 
     if rhs in obj:  # leftover artificial mass: no feasible point
@@ -150,5 +188,5 @@ def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
     solution = {name: Fraction(0) for name in system.variables}
     for i in range(m):
         if basis[i] < n:
-            solution[system.variables[basis[i]]] = rows[i].get(rhs, Fraction(0))
+            solution[system.variables[basis[i]]] = Fraction(rows[i].get(rhs, 0), rows[i][basis[i]])
     return solution

@@ -102,7 +102,7 @@ class RationalSemiring(Semiring):
     one = Fraction(1)
 
     def check(self, value):
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             value = Fraction(value)
         if not isinstance(value, Fraction):
             raise ShapeError(f"expected a nonnegative rational, got {value!r}")

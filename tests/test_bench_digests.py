@@ -1,0 +1,41 @@
+"""The benchmark's outputs are pinned: same seed, same witnesses, same digests.
+
+Each benchmark run prints a SHA-256 digest over the canonical output of
+every operation it ran (CLI stdout and exit code, witnesses, verifier
+results) and counts the exact checks that failed.  A change to the solver's
+arithmetic that keeps its pivots keeps these digests; one that moves a
+pivot or a witness changes them.  The digests below were taken with
+
+    python3 perfbench/run.py --workload W --seed 7 --seconds 5 --max-ops 120 --trace 0
+
+and have not changed since the benchmark was defined.
+"""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+DIGESTS = {
+    "garble": "b37dd875b62c6c07cb7e1af97ad4887585b2cffa1cf106fd8a975890c1ad3366",
+    "bss": "56eda4bceddcc0f68c92ba9b239261f25c9d7e14ec45d1dc0ccefe27c55e3b92",
+    "algebra": "162e867dc9558c8983c4381398b1a82112a8e943e13f7d6ad7225d977de63b8e",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_benchmark_digest_is_pinned(workload):
+    out = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "7", "--seconds", "5",
+         "--max-ops", "120", "--trace", "0"],
+        capture_output=True, text=True, timeout=600, check=True).stdout
+    assert re.findall(r"^digest\[\d\] (\w+) over (\d+) ops$", out, re.M) == [
+        (DIGESTS[workload], "120")]
+    result = json.loads(out.strip().splitlines()[-1])
+    assert result["attempted"] == 120
+    assert result["failed"] == 0

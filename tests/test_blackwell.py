@@ -94,6 +94,15 @@ def test_metadist_from_pairs_rejects_inexact_weights(weight):
         MetaDist.from_pairs([(P_SHARED, weight), (P_FAIL_F, weight)])
 
 
+@pytest.mark.parametrize("pairs", [
+    [(P_SHARED, True)],
+    [(P_SHARED, Fraction(1)), (P_FAIL_F, False)],
+], ids=["true-as-one", "false-as-zero"])
+def test_metadist_from_pairs_rejects_bool_weights(pairs):
+    with pytest.raises(ShapeError):
+        MetaDist.from_pairs(pairs)
+
+
 def test_metadist_weight_off_support_is_zero(rod_f, rod_m):
     md = standard_measure(rod_f, rod_m)
     assert md.weight(P_FAIL_G) == 0

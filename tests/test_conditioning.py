@@ -310,7 +310,9 @@ def test_dominates_requires_rationals():
     (1.0, 0),
     ("1/2", "1/2"),
     (Decimal("0.5"), Decimal("0.5")),
-], ids=["floats", "one-float", "float-one", "strings", "decimals"])
+    (True, False),
+    (Fraction(1), False),
+], ids=["floats", "one-float", "float-one", "strings", "decimals", "bools", "one-bool"])
 def test_point_rejects_inexact_coordinates(weights):
     with pytest.raises(DistributionError):
         Point(("a", "b"), weights)

@@ -64,7 +64,11 @@ def test_unknown_variable_rejected():
     ({"x": 0.0}, 0),
     ({"x": "1/2"}, 1),
     ({"x": 1}, Decimal(1)),
-], ids=["float-coefficient", "float-rhs", "float-zero", "string", "decimal-rhs"])
+    ({"x": True}, 1),
+    ({"x": 1}, True),
+    ({"x": False}, 0),
+], ids=["float-coefficient", "float-rhs", "float-zero", "string", "decimal-rhs",
+        "bool-coefficient", "bool-rhs", "bool-zero"])
 def test_add_equality_rejects_inexact_values(coeffs, rhs):
     sys_ = LinearSystem(["x"])
     with pytest.raises(ShapeError):

@@ -64,6 +64,18 @@ def test_rational_carrier_rejects_negatives():
         RATIONAL.parse("-1/2")
 
 
+@pytest.mark.parametrize("semiring, value", [
+    (RATIONAL, True),
+    (RATIONAL, False),
+    (PAIR_RATIONAL, (True, Fraction(0))),
+    (PAIR_RATIONAL, (Fraction(1), False)),
+], ids=["rational-true", "rational-false", "pair-true", "pair-false"])
+def test_rational_carriers_reject_bool(semiring, value):
+    # bool is an int subclass, but True is not the rational 1
+    with pytest.raises(ShapeError):
+        semiring.check(value)
+
+
 def test_rational_parse_format_round_trip():
     for text in ["0", "1", "3/4", "7/5"]:
         assert RATIONAL.format(RATIONAL.parse(text)) == text

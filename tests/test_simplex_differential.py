@@ -1,11 +1,14 @@
-"""The sparse simplex against the dense one it replaced, pivot for pivot.
+"""The integer-row simplex against the dense Fraction one it replaced, pivot for pivot.
 
 Both follow the same phase-1 rule, so they must agree on the verdict and
 return the identical solution dict, not merely an equivalent one.  The edge
 systems are the shapes where a sparse row is easiest to get wrong: a zero
 rhs has no rhs key, a negated row flips every stored entry, an empty row
 holds only its artificial, and a redundant row leaves an artificial basic
-at zero.
+at zero.  The mixed-denominator systems are where an integer row is easiest
+to get wrong: each row is scaled by the lcm of denominators such as 3, 7
+and 9, or near 2**40, so rows of different scales meet in the objective and
+in the ratio test.
 """
 
 from fractions import Fraction
@@ -61,6 +64,50 @@ def edge_system(i: int) -> LinearSystem:
 
 EDGE_SYSTEMS = [edge_system(i) for i in range(200)]
 
+
+DENS = (1, 2, 3, 5, 7, 9)
+
+
+def mixed_value(r) -> Fraction:
+    """A small rational over one of DENS, or one time in fifty over a denominator near 2**40."""
+    if r.random() < 0.02:
+        den = r.randint(2**40 - 2**12, 2**40 + 2**12)
+    else:
+        den = r.choice(DENS)
+    return Fraction(r.randint(-9, 9), den)
+
+
+def mixed_system(i: int) -> LinearSystem:
+    """A small system whose rows mix coprime denominators.
+
+    Half the rows have the rhs of a planted nonnegative rational point.  Half
+    the rows get a redundant copy scaled by a rational such as -7/3, which
+    negates it half the time.
+    """
+    r = corpus.rng(f"mixed/{i}")
+    names = [f"v{j}" for j in range(r.randint(2, 5))]
+    planted = {name: Fraction(r.randint(0, 4), r.choice(DENS)) for name in names}
+    system = LinearSystem(names)
+    rows = []
+    for _ in range(r.randint(1, 4)):
+        coeffs = {name: mixed_value(r) for name in names if r.random() < 0.8}
+        if r.random() < 0.5:
+            rhs = sum((c * planted[name] for name, c in coeffs.items()), Fraction(0))
+        else:
+            rhs = mixed_value(r)
+        rows.append((coeffs, rhs))
+    for coeffs, rhs in list(rows):
+        if r.random() < 0.5:
+            scale = Fraction(r.choice([-1, 1]) * r.randint(1, 7), r.choice(DENS))
+            rows.append(({name: scale * c for name, c in coeffs.items()}, scale * rhs))
+    r.shuffle(rows)
+    for coeffs, rhs in rows:
+        system.add_equality(coeffs, rhs)
+    return system
+
+
+MIXED_SYSTEMS = [mixed_system(i) for i in range(200)]
+
 HAND_SYSTEMS = [
     # identical rows: the second artificial stays basic at zero
     ([{"x": 1, "y": 1}, {"x": 1, "y": 1}], [1, 1]),
@@ -74,6 +121,9 @@ HAND_SYSTEMS = [
     ([{}, {"x": 2}], [1, 3]),
     # negative rhs that a nonnegative point can meet
     ([{"x": -1, "y": -2}], [-3]),
+    # rows whose integer forms have scales 3 and 6: the objective must sum
+    # the rational rows, since summing the integer ones moves the witness
+    ([{"x": 2, "y": 2, "z": -1}, {"x": Fraction(3, 2), "y": 2}], [Fraction(-1, 3), Fraction(1, 3)]),
 ]
 
 
@@ -114,6 +164,15 @@ def test_identical_on_edge_systems():
             raise AssertionError(f"edge/{i}: {system.equalities!r}") from exc
 
 
+def test_identical_on_mixed_denominator_systems():
+    for i, system in enumerate(MIXED_SYSTEMS):
+        try:
+            assert_same(system)
+            assert (find_feasible(system) is not None) == lp_oracle.brute_force_feasible(system)
+        except AssertionError as exc:
+            raise AssertionError(f"mixed/{i}: {system.equalities!r}") from exc
+
+
 @pytest.mark.parametrize("rows,rhs", HAND_SYSTEMS)
 def test_identical_on_hand_edge_systems(rows, rhs):
     system = hand_system(rows, rhs)
@@ -144,3 +203,23 @@ def test_edge_generator_covers_its_cases():
     feasible = [s for s in EDGE_SYSTEMS if find_feasible(s) is not None]
     assert 0 < len(feasible) < len(EDGE_SYSTEMS)
     assert any(has_redundant_row(s) for s in feasible)
+
+
+def negated_copy(first, second) -> bool:
+    (c1, _), (c2, _) = first, second
+    return proportional(first, second) and c2[next(iter(c1))] / c1[next(iter(c1))] < 0
+
+
+def test_mixed_generator_covers_its_cases():
+    rows = [eq for system in MIXED_SYSTEMS for eq in system.equalities]
+    dens = [{v.denominator for v in (*coeffs.values(), rhs)} for coeffs, rhs in rows]
+    assert any({3, 7} <= d or {7, 9} <= d for d in dens)
+    assert any(max(d) > 2**39 for d in dens)
+    assert any(rhs < 0 for _, rhs in rows)
+    assert any(negated_copy(a, b) for s in MIXED_SYSTEMS
+               for a in s.equalities for b in s.equalities)
+    solutions = [find_feasible(s) for s in MIXED_SYSTEMS]
+    feasible = [s for s, sol in zip(MIXED_SYSTEMS, solutions) if sol is not None]
+    assert 0 < len(feasible) < len(MIXED_SYSTEMS)
+    assert any(has_redundant_row(s) for s in feasible)
+    assert any(v.denominator > 1 for sol in solutions if sol for v in sol.values())
