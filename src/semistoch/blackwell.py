@@ -154,14 +154,15 @@ def dilation_system(p_hat: MetaDist, q_hat: MetaDist) -> LinearSystem:
     sources, targets = q_hat.support, p_hat.support
     rows = [[_dvar(i, j) for j, _ in enumerate(targets)] for i, _ in enumerate(sources)]
     system = LinearSystem(name for row in rows for name in row)
+    one = Fraction(1)
+    coords = list(zip(*(target.weights for target in targets)))  # [pos][j]: target j at pos
     for row, source in zip(rows, sources):
-        system.add_equality(dict.fromkeys(row, Fraction(1)), Fraction(1))
-        for pos, coord in enumerate(source.weights):
-            system.add_equality({name: target.weights[pos] for name, target in zip(row, targets)},
-                                coord)
+        system.add_equality(dict.fromkeys(row, one), one)
+        for coord, at_pos in zip(source.weights, coords):
+            system.add_equality(dict(zip(row, at_pos)), coord)
+    source_masses = list(q_hat.weights.values())
     for j, mass in enumerate(p_hat.weights.values()):
-        system.add_equality({row[j]: weight for row, weight in zip(rows, q_hat.weights.values())},
-                            mass)
+        system.add_equality({row[j]: weight for row, weight in zip(rows, source_masses)}, mass)
     return system
 
 

@@ -45,15 +45,17 @@ def garbling_system(f: Kernel, g: Kernel, support) -> LinearSystem:
     One variable per (output, input) pair of the channel, one normalization
     row per input, and one transfer row per (output, hypothesis in support).
     """
-    x_set, y_set = f.cod, g.cod
-    names = [_var(y, x) for x in x_set.labels for y in y_set.labels]
-    system = LinearSystem(names)
-    for x in x_set.labels:
-        system.add_equality({_var(y, x): Fraction(1) for y in y_set.labels}, Fraction(1))
+    x_labels, y_labels = f.cod.labels, g.cod.labels
+    names = [[_var(y, x) for y in y_labels] for x in x_labels]
+    system = LinearSystem(name for row in names for name in row)
+    one, zero = Fraction(1), Fraction(0)
+    for row in names:
+        system.add_equality(dict.fromkeys(row, one), one)
     for theta in support:
-        for y in y_set.labels:
-            system.add_equality({_var(y, x): f.weight(x, theta) for x in x_set.labels},
-                                g.weight(y, theta))
+        f_col, g_col = f.column(theta).weights, g.column(theta).weights
+        for j, y in enumerate(y_labels):
+            system.add_equality({row[j]: f_col.get(x, zero) for row, x in zip(names, x_labels)},
+                                g_col.get(y, zero))
     return system
 
 

@@ -13,6 +13,12 @@ pivot rewrites only the rows with a nonzero entry in the entering column.
 The pivot rule is the one a dense tableau would follow, entry for entry.
 Deterministic: the same system always yields the same verdict and the same
 witness assignment.
+
+A ``LinearSystem`` keeps its coefficients as the caller's exact rationals;
+a coefficient given as a ``Fraction`` is stored as it is.  ``verify``
+checks an assignment against them in integers, over the common denominator
+of the assignment, with its own row scaling: it shares no code with the
+solver, so a fault in the solver's conversion of rows cannot hide from it.
 """
 
 from __future__ import annotations
@@ -29,21 +35,21 @@ class LinearSystem:
 
     def __init__(self, variables: Iterable[str]):
         self.variables: Tuple[str, ...] = tuple(variables)
-        seen = set()
-        for name in self.variables:
-            if name in seen:
-                raise ShapeError(f"duplicate variable {name!r}")
-            seen.add(name)
         self._index = {name: i for i, name in enumerate(self.variables)}
+        if len(self._index) != len(self.variables):
+            dup = next(name for i, name in enumerate(self.variables)
+                       if self.variables.index(name) < i)
+            raise ShapeError(f"duplicate variable {dup!r}")
         self.equalities: List[Tuple[Dict[str, Fraction], Fraction]] = []
 
     def add_equality(self, coeffs: Mapping[str, Fraction], rhs) -> None:
+        index = self._index
         row = {}
         for name, value in coeffs.items():
-            if name not in self._index:
+            if name not in index:
                 raise ShapeError(f"unknown variable {name!r}")
-            value = _exact(value, f"coefficient of {name!r}")
-            if value != 0:
+            value = _exact(value, "coefficient of", name)
+            if value:
                 row[name] = value
         self.equalities.append((row, _exact(rhs, "right-hand side")))
 
@@ -51,27 +57,49 @@ class LinearSystem:
         return f"LinearSystem({len(self.variables)} vars, {len(self.equalities)} equalities)"
 
 
-def _exact(value, what: str) -> Fraction:
+def _exact(value, what: str, name: Optional[str] = None) -> Fraction:
+    """value as a Fraction; a Fraction comes back as it is.
+
+    Anything but an int or a Fraction (bool, float, str, Decimal, ...)
+    raises ShapeError, naming what and, when given, the variable.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        if name is not None:
+            what = f"{what} {name!r}"
         raise ShapeError(f"{what} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
 
 
 def verify(system: LinearSystem, assignment: Mapping[str, Fraction]) -> bool:
-    """Exact check: every equality holds and every value is >= 0."""
+    """Exact check: every equality holds and every value is >= 0.
+
+    Each value must be an int or a Fraction, as a coefficient must.  The
+    check runs in integers: with the values written as n_j / d over their
+    common denominator d, and s the lcm of the denominators in row i, the
+    row holds iff sum_j (s c_ij) n_j == (s b_i) d.  That scaling is done
+    here and not shared with ``find_feasible``'s, so a fault in the
+    solver's conversion of rows to integers cannot hide from this check.
+    """
+    index = system._index
     for name in assignment:
-        if name not in system._index:
+        if name not in index:
             raise ShapeError(f"unknown variable {name!r} in assignment")
-    values = {}
+    values = []
     for name in system.variables:
         if name not in assignment:
             raise ShapeError(f"assignment misses variable {name!r}")
-        values[name] = Fraction(assignment[name])
-    if any(v < 0 for v in values.values()):
+        values.append(_exact(assignment[name], "value of", name))
+    d = lcm(*(v.denominator for v in values))
+    nums = {name: v.numerator * (d // v.denominator)
+            for name, v in zip(system.variables, values)}
+    if any(n < 0 for n in nums.values()):
         return False
     for coeffs, rhs in system.equalities:
-        total = sum((c * values[name] for name, c in coeffs.items()), Fraction(0))
-        if total != rhs:
+        s = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        total = sum(c.numerator * (s // c.denominator) * nums[name] for name, c in coeffs.items())
+        if total != rhs.numerator * (s // rhs.denominator) * d:
             return False
     return True
 
@@ -130,13 +158,14 @@ def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
     # denominators, negated when its rhs is negative, so its artificial
     # entry is that lcm and the row has gcd 1.
     rhs = n + m
+    index = system._index
     rows: List[Dict[int, int]] = []
     for i, (coeffs, b) in enumerate(system.equalities):
         scale = lcm(b.denominator, *(v.denominator for v in coeffs.values()))
-        sign = -1 if b < 0 else 1
-        row = {system._index[name]: sign * v.numerator * (scale // v.denominator)
+        sign = -1 if b.numerator < 0 else 1
+        row = {index[name]: sign * v.numerator * (scale // v.denominator)
                for name, v in coeffs.items()}
-        if b != 0:
+        if b.numerator:
             row[rhs] = sign * b.numerator * (scale // b.denominator)
         row[n + i] = scale
         rows.append(row)

@@ -9,6 +9,13 @@ pivot or a witness changes them.  The digests below were taken with
     python3 perfbench/run.py --workload W --seed 7 --seconds 5 --max-ops 120 --trace 0
 
 and have not changed since the benchmark was defined.
+
+With ``--trace 1`` the run goes through the pool twice, untraced and then
+traced, so each digest is printed twice.  The traced run also reports the
+shape of every LP it solved, read from ``system.variables`` and
+``system.equalities``: the number of ``find_feasible`` calls, the
+infeasible ones, and the total variables, rows and nonzero coefficients.
+A builder that reorders or drops nothing keeps all five counts.
 """
 
 import json
@@ -27,15 +34,37 @@ DIGESTS = {
     "algebra": "162e867dc9558c8983c4381398b1a82112a8e943e13f7d6ad7225d977de63b8e",
 }
 
+LP_SHAPE = ("feasibility.find_feasible.calls", "feasibility.find_feasible.infeasible",
+            "feasibility.lp_vars", "feasibility.lp_rows", "feasibility.lp_nnz")
+LP_SHAPES = {
+    "garble": (122, 60, 2952, 2274, 7756),
+    "bss": (115, 47, 2774, 2159, 7723),
+}
+
+
+def run(workload: str, trace: int):
+    """Digest lines and the closing JSON object of a 120-op run at seed 7."""
+    out = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "7", "--seconds", "5",
+         "--max-ops", "120", "--trace", str(trace)],
+        capture_output=True, text=True, timeout=600, check=True).stdout
+    digests = re.findall(r"^digest\[\d\] (\w+) over (\d+) ops$", out, re.M)
+    return digests, json.loads(out.strip().splitlines()[-1])
+
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
 def test_benchmark_digest_is_pinned(workload):
-    out = subprocess.run(
-        [sys.executable, str(RUN), "--workload", workload, "--seed", "7", "--seconds", "5",
-         "--max-ops", "120", "--trace", "0"],
-        capture_output=True, text=True, timeout=600, check=True).stdout
-    assert re.findall(r"^digest\[\d\] (\w+) over (\d+) ops$", out, re.M) == [
-        (DIGESTS[workload], "120")]
-    result = json.loads(out.strip().splitlines()[-1])
+    digests, result = run(workload, trace=0)
+    assert digests == [(DIGESTS[workload], "120")]
     assert result["attempted"] == 120
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", sorted(LP_SHAPES))
+def test_traced_run_keeps_digest_and_lp_shapes(workload):
+    digests, result = run(workload, trace=1)
+    assert digests == [(DIGESTS[workload], "120")] * 2
+    assert result["attempted"] == 240
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert tuple(metrics[name]["value"] for name in LP_SHAPE) == LP_SHAPES[workload]

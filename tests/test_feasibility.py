@@ -1,7 +1,10 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistoch import LinearSystem, ShapeError, find_feasible, verify
 
@@ -95,6 +98,92 @@ def test_verify_is_exact():
         verify(sys_, {"x": Fraction(1, 2)})
     with pytest.raises(ShapeError):
         verify(sys_, {"x": Fraction(1, 2), "y": Fraction(1, 2), "z": Fraction(0)})
+
+
+@pytest.mark.parametrize("names, dup", [
+    (["x", "x"], "x"),
+    (["a", "b", "b", "a"], "b"),
+    (["a", "b", "c", "a"], "a"),
+])
+def test_duplicate_variable_is_named(names, dup):
+    with pytest.raises(ShapeError, match=re.escape(f"duplicate variable {dup!r}")):
+        LinearSystem(names)
+
+
+@pytest.mark.parametrize("assignment", [
+    {"x": 0.5, "y": 0.5},
+    {"x": 1.0, "y": 0},
+    {"x": "1/2", "y": "1/2"},
+    {"x": True, "y": 0},
+    {"x": 1, "y": False},
+    {"x": Decimal("0.5"), "y": Decimal("0.5")},
+], ids=["float", "float-integral", "string", "bool-true", "bool-false", "decimal"])
+def test_verify_rejects_inexact_values(assignment):
+    # each assignment meets x + y = 1 once read as a number
+    sys_ = LinearSystem(["x", "y"])
+    sys_.add_equality({"x": 1, "y": 1}, 1)
+    with pytest.raises(ShapeError):
+        verify(sys_, assignment)
+
+
+def fraction_sum_verify(system, assignment):
+    """The check verify made with Fraction sums, kept as the reference for the integer one."""
+    values = {}
+    for name in system.variables:
+        values[name] = Fraction(assignment[name])
+    if any(v < 0 for v in values.values()):
+        return False
+    for coeffs, rhs in system.equalities:
+        total = sum((c * values[name] for name, c in coeffs.items()), Fraction(0))
+        if total != rhs:
+            return False
+    return True
+
+
+# Small denominators, and denominators within 2**12 of 2**40 as in the
+# mixed-denominator systems of the differential test.
+DENOMINATORS = st.one_of(st.sampled_from([1, 2, 3, 5, 7, 9]),
+                         st.integers(2**40 - 2**12, 2**40 + 2**12))
+
+
+@st.composite
+def rationals(draw, low=-9):
+    return Fraction(draw(st.integers(low, 9)), draw(DENOMINATORS))
+
+
+@st.composite
+def planted_systems(draw):
+    """A system of 0-4 variables and 0-4 rows, and a nonnegative point.
+
+    Rows may be empty.  About half the rows take their rhs from the point,
+    the rest an arbitrary rational, so the point meets some systems and not
+    others.
+    """
+    names = [f"v{j}" for j in range(draw(st.integers(0, 4)))]
+    point = {name: draw(rationals(low=0)) for name in names}
+    system = LinearSystem(names)
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = {name: draw(rationals()) for name in names if draw(st.booleans())}
+        if draw(st.booleans()):
+            rhs = sum((c * point[name] for name, c in coeffs.items()), Fraction(0))
+        else:
+            rhs = draw(rationals())
+        system.add_equality(coeffs, rhs)
+    return system, point
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(planted_systems(), rationals())
+def test_verify_agrees_with_fraction_sums(case, delta):
+    system, point = case
+    assignments = [point]
+    solution = find_feasible(system)
+    if solution is not None:
+        assignments.append(solution)
+    for base in list(assignments):
+        assignments += [{**base, name: base[name] + delta} for name in system.variables]
+    for assignment in assignments:
+        assert verify(system, assignment) == fraction_sum_verify(system, assignment)
 
 
 def test_find_feasible_is_deterministic():
