@@ -5,51 +5,75 @@ codomain.  States are kernels out of the unit.  Composition, tensor and
 the copy/discard/swap structure maps make the usual string-diagram
 constructions directly expressible; equality of kernels is exact and
 column-wise.
+
+The columns of a tensor are built when they are first read, and kept.  A
+string-diagram composite such as ``compose(tensor(k, identity), copy)``
+reads only the columns its inner kernel puts mass on, so it builds only
+those.  Every column, built up front or on first read, passes the same
+checks before it is stored.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from . import findist as fd
 from .errors import ShapeError
-from .findist import FinDist, FiniteSet, atoms, join_atoms, product_set, unit_set
+from .findist import (FinDist, FiniteSet, atoms, join_atoms, product_set, split_label,
+                      unit_set)
 from .semiring import Semiring, same_semiring
 
 Label = Any
 
 
 class Kernel:
-    """Map ``dom -> cod`` sending each domain label to a distribution."""
+    """Map ``dom -> cod`` sending each domain label to a distribution.
 
-    __slots__ = ("semiring", "dom", "cod", "columns")
+    ``build``, when given, makes the column at a domain label the first
+    time it is read; the given ``columns`` may then cover part of the
+    domain or none of it.
+    """
+
+    __slots__ = ("semiring", "dom", "cod", "_columns", "_build")
 
     def __init__(self, semiring: Semiring, dom: FiniteSet, cod: FiniteSet,
-                 columns: Mapping[Label, FinDist]):
-        missing = [a for a in dom.labels if a not in columns]
+                 columns: Mapping[Label, FinDist],
+                 build: Optional[Callable[[Label], FinDist]] = None):
+        missing = [] if build is not None else [a for a in dom.labels if a not in columns]
         extra = [a for a in columns if a not in dom]
         if missing or extra:
             raise ShapeError(f"columns must cover the domain exactly "
                              f"(missing {missing!r}, extra {extra!r})")
-        clean: Dict[Label, FinDist] = {}
-        for a in dom.labels:
-            col = columns[a]
-            if not isinstance(col, FinDist):
-                raise ShapeError(f"column at {a!r} is not a distribution")
-            same_semiring(semiring, col.semiring)
-            if col.base != cod:
-                raise ShapeError(f"column at {a!r} lives over the wrong codomain")
-            clean[a] = col
         self.semiring = semiring
         self.dom = dom
         self.cod = cod
-        self.columns = clean
+        self._build = build
+        self._columns = {a: self._checked(a, columns[a])
+                         for a in dom.labels if a in columns}
+
+    def _checked(self, a: Label, col: FinDist) -> FinDist:
+        if not isinstance(col, FinDist):
+            raise ShapeError(f"column at {a!r} is not a distribution")
+        same_semiring(self.semiring, col.semiring)
+        if col.base != self.cod:
+            raise ShapeError(f"column at {a!r} lives over the wrong codomain")
+        return col
 
     def column(self, a: Label) -> FinDist:
         try:
-            return self.columns[a]
+            return self._columns[a]
         except KeyError as exc:
-            raise ShapeError(f"label {a!r} not in domain") from exc
+            if self._build is None or a not in self.dom:
+                raise ShapeError(f"label {a!r} not in domain") from exc
+        col = self._columns[a] = self._checked(a, self._build(a))
+        return col
+
+    @property
+    def columns(self) -> Dict[Label, FinDist]:
+        """Every column in ``dom`` order, building the ones not yet read."""
+        if len(self._columns) < len(self.dom):
+            self._columns = {a: self.column(a) for a in self.dom.labels}
+        return self._columns
 
     def weight(self, x: Label, a: Label) -> Any:
         return self.column(a).weight(x)
@@ -129,16 +153,20 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:
-    """Parallel composite on the product of domains and codomains."""
+    """Parallel composite on the product of domains and codomains.
+
+    The column at (a, b) is the product of f's column at a and g's at b.
+    It is built and checked the first time it is read.
+    """
     same_semiring(f.semiring, g.semiring)
     dom = product_set(f.dom, g.dom)
     cod = product_set(f.cod, g.cod)
-    columns = {}
-    for a in f.dom.labels:
-        fa = f.column(a)
-        for b in g.dom.labels:
-            columns[join_atoms(atoms(a) + atoms(b))] = fd._product_on(cod, fa, g.column(b))
-    return Kernel(f.semiring, dom, cod, columns)
+
+    def build(label: Label) -> FinDist:
+        a, b = split_label(label, f.dom.arity)
+        return fd._product_on(cod, f.column(a), g.column(b))
+
+    return Kernel(f.semiring, dom, cod, {}, build)
 
 
 def marginalize(f: Kernel, side: str) -> Kernel:

@@ -120,7 +120,10 @@ def dist_from_json(obj: Any, semiring: Semiring, base: FiniteSet, what: str) -> 
             raise LoadError(f"{what}: {exc}") from exc
         if not isinstance(text, str):
             raise LoadError(f"{what} weight for {key!r} must be a string literal")
-        weights[label] = semiring.parse(text)
+        try:
+            weights[label] = semiring.parse(text)
+        except ShapeError as exc:
+            raise LoadError(f"{what} weight for {key!r}: {exc}") from exc
     try:
         return FinDist(semiring, base, weights)
     except (ShapeError, ValueError) as exc:
@@ -153,6 +156,7 @@ def kernel_from_json(obj: Any, semiring: Semiring, name: str = "kernel") -> Kern
             if target not in cod:
                 raise LoadError(f"{name}.function sends {key!r} outside the codomain")
             columns[a] = fd.dirac(semiring, cod, target)
+        _reject_unknown_inputs(mapping, inputs, f"{name}.function")
         return Kernel(semiring, dom, cod, columns)
     if "columns" not in obj:
         raise LoadError(f"{name} needs 'columns' or 'function'")
@@ -164,10 +168,14 @@ def kernel_from_json(obj: Any, semiring: Semiring, name: str = "kernel") -> Kern
         if key not in raw:
             raise LoadError(f"{name}.columns misses input {key!r}")
         columns[a] = dist_from_json(raw[key], semiring, cod, f"{name}.columns[{key!r}]")
-    extra = set(raw) - set(inputs)
-    if extra:
-        raise LoadError(f"{name}.columns has unknown inputs {sorted(extra)!r}")
+    _reject_unknown_inputs(raw, inputs, f"{name}.columns")
     return Kernel(semiring, dom, cod, columns)
+
+
+def _reject_unknown_inputs(obj: Dict[str, Any], inputs: Dict[str, Any], what: str) -> None:
+    extra = set(obj) - set(inputs)
+    if extra:
+        raise LoadError(f"{what} has unknown inputs {sorted(extra)!r}")
 
 
 def kernel_to_json(k: Kernel) -> Dict[str, Any]:

@@ -199,3 +199,13 @@ class TestParser:
         path.write_text("{oops", encoding="utf-8")
         assert main(["compare", str(path), "f", "g"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_weight_outside_carrier_reports_its_location(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {
+            "theta": ["s", "t"],
+            "kernels": {"f": {"dom": ["s", "t"], "cod": ["p", "q"],
+                              "columns": {"s": {"p": "3/2", "q": "-1/2"},
+                                          "t": {"p": "1"}}}}})
+        assert main(["compare", path, "f", "f"]) == 2
+        assert capsys.readouterr().err == (
+            "error: f.columns['s'] weight for 'q': negative weight -1/2 outside the carrier\n")

@@ -9,6 +9,8 @@ from semistoch import (
     PAIR_RATIONAL,
     RATIONAL,
     ShapeError,
+    TRILATTICE,
+    bayesian_inverse,
     compose,
     copy,
     dirac,
@@ -17,6 +19,7 @@ from semistoch import (
     identity,
     is_deterministic,
     marginalize,
+    product,
     product_set,
     state,
     state_dist,
@@ -25,6 +28,9 @@ from semistoch import (
     tensor,
     unit_set,
 )
+
+from semistoch import findist
+from semistoch.findist import atoms, join_atoms
 
 import corpus
 
@@ -145,6 +151,68 @@ def test_tensor_formula():
             for x in CD.labels:
                 for y in EF.labels:
                     assert fg.weight((x, y), (a, b)) == f.weight(x, a) * g.weight(y, b)
+
+
+def pair_kernel(left: Kernel, right: Kernel) -> Kernel:
+    """Pair-rational kernel whose columns pair those of two rational kernels."""
+    return Kernel(PAIR_RATIONAL, left.dom, left.cod, {
+        a: FinDist(PAIR_RATIONAL, left.cod,
+                   {x: (left.weight(x, a), right.weight(x, a)) for x in left.cod.labels})
+        for a in left.dom.labels})
+
+
+def tensor_cases():
+    r = corpus.rng("kernel-tensor-columns")
+    ab_cd = product_set(AB, CD)
+    f = corpus.random_kernel(r, AB, CD)
+    g = corpus.random_kernel(r, ab_cd, EF)
+    h = corpus.random_kernel(r, unit_set(), AB)
+    tri = corpus.tri_kernels(AB, CD)
+    return {
+        "rational": (f, g),
+        "rational-state": (h, f),
+        "rational-nested": (tensor(f, h), tensor(h, g)),
+        "trilattice": (tri[5], tri[-3]),
+        "pair-rational": (pair_kernel(f, corpus.random_kernel(r, AB, CD)),
+                          pair_kernel(g, corpus.random_kernel(r, ab_cd, EF))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(tensor_cases()))
+def test_tensor_columns_match_eager_products(case):
+    f, g = tensor_cases()[case]
+    eager = [(join_atoms(atoms(a) + atoms(b)), product(f.column(a), g.column(b)))
+             for a in f.dom.labels for b in g.dom.labels]
+    fg = tensor(f, g)
+    last, last_column = eager[-1]
+    assert fg.column(last) == last_column  # built first, still listed last
+    assert list(fg.columns.items()) == eager
+    assert list(fg.columns) == list(fg.dom.labels)
+
+
+def test_bayesian_inverse_builds_only_reached_tensor_columns(monkeypatch):
+    r = corpus.rng("kernel-lazy-inverse")
+    theta = corpus.labeled_set("t", 6)
+    f = corpus.random_kernel(r, theta, corpus.labeled_set("x", 3))
+    m = corpus.random_prior(r, theta, full=True)
+    built = []
+    real = findist._product_on
+
+    def counted(base, p, q):
+        built.append((p, q))
+        return real(base, p, q)
+
+    monkeypatch.setattr(findist, "_product_on", counted)
+    bayesian_inverse(f, m)
+    assert len(built) == 6  # the copied diagonal, not all 36 pairs
+
+
+def test_tensor_column_outside_domain():
+    fg = tensor(corpus.random_kernel(corpus.rng("kernel-tensor-dom"), AB, CD),
+                identity(RATIONAL, EF))
+    for label in (("a", "c"), ("z", "e"), "a", ("a", "e", "e")):
+        with pytest.raises(ShapeError, match="not in domain"):
+            fg.column(label)
 
 
 def test_tensor_of_identities_is_identity():

@@ -117,6 +117,20 @@ class TestDistJson:
         with pytest.raises(LoadError):
             dist_from_json(["a", "b"], RATIONAL, AB, "d")
 
+    @pytest.mark.parametrize("semiring, text, cause", [
+        (RATIONAL, "-1/2", "negative weight -1/2 outside the carrier"),
+        (RATIONAL, "1//2", "bad rational literal '1//2'"),
+        (RATIONAL, "eps", "bad rational literal 'eps'"),
+        (TRILATTICE, "1/2", "bad trilattice literal '1/2'"),
+        (PAIR_RATIONAL, "(1/2)", "bad pair literal '(1/2)'"),
+    ], ids=["negative", "malformed", "trilattice-under-rational", "rational-under-trilattice",
+            "short-pair"])
+    def test_bad_weight_literal_names_its_key(self, semiring, text, cause):
+        doc = {"x": semiring.format(semiring.one), "y": text}
+        with pytest.raises(LoadError) as exc:
+            dist_from_json(doc, semiring, FiniteSet(["x", "y", "z"]), "f.columns['a']")
+        assert str(exc.value) == f"f.columns['a'] weight for 'y': {cause}"
+
 
 class TestKernelJson:
     def test_columns_round_trip(self, rod_f):
@@ -170,6 +184,16 @@ class TestKernelJson:
         doc = {"dom": ["a"], "cod": ["y"], "function": {"a": "z"}}
         with pytest.raises(LoadError):
             kernel_from_json(doc, RATIONAL)
+
+    @pytest.mark.parametrize("form, body", [
+        ("function", {"a": "x", "b": "y", "zzz": "x"}),
+        ("columns", {"a": {"x": "1"}, "b": {"y": "1"}, "zzz": {"x": "1"}}),
+    ], ids=["function", "columns"])
+    def test_unknown_input_rejected_in_either_form(self, form, body):
+        doc = {"dom": ["a", "b"], "cod": ["x", "y"], form: body}
+        with pytest.raises(LoadError) as exc:
+            kernel_from_json(doc, RATIONAL)
+        assert str(exc.value) == f"kernel.{form} has unknown inputs ['zzz']"
 
 
 class TestReportJson:
