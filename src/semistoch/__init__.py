@@ -25,7 +25,7 @@ from .feasibility import LinearSystem, find_feasible, verify
 from .findist import (FinDist, FiniteSet, dirac, flatten, marginal, product,
                       product_set, pushforward, split_set, uniform, unit_set)
 from .kernel import (Kernel, compose, copy, discard, from_function, identity,
-                     is_deterministic, marginalize, state, state_dist,
+                     is_deterministic, joint, marginalize, state, state_dist,
                      state_is_dirac, swap, tensor)
 from .semiring import (PAIR_RATIONAL, RATIONAL, TRI_EPS, TRI_ONE, TRI_ZERO,
                        TRILATTICE, PairSemiring, RationalSemiring, Semiring,

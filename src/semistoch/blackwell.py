@@ -23,7 +23,8 @@ from .conditioning import Point, ase, bayesian_inverse, point_of, samp_on, sharp
 from .errors import DistributionError, ShapeError, WitnessError
 from .feasibility import LinearSystem
 from .findist import FinDist, FiniteSet
-from .kernel import Kernel, compose, copy, from_function, identity, state, state_dist, tensor
+from .kernel import (Kernel, compose, copy, from_function, identity, joint, state, state_dist,
+                     tensor)
 from .comparison import find_garbling_as, solve_channel
 from .semiring import RATIONAL
 
@@ -294,11 +295,9 @@ def bss_check(f: Kernel, g: Kernel, m: Kernel) -> BssReport:
 def verify_samp_is_bayesian_inverse(f: Kernel, m: Kernel) -> bool:
     """Sampling inverts the standard experiment against the prior, exactly."""
     f_hat = standard_experiment(f, m)
-    theta = f.dom
     points = f_hat.cod
     smp = samp_on(points.labels)
-    lhs = compose(tensor(identity(RATIONAL, theta), f_hat),
-                  compose(copy(RATIONAL, theta), m))
+    lhs = joint(m, f_hat)
     rhs = compose(tensor(smp, identity(RATIONAL, points)),
                   compose(copy(RATIONAL, points), compose(f_hat, m)))
     return lhs == rhs

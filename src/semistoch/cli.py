@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import blackwell, comparison, serialize
 from .conditioning import is_deterministic_given
@@ -42,15 +41,14 @@ def _print_metadist(md: blackwell.MetaDist, indent: str = "  ") -> None:
         print(f"{indent}point ({coords})  weight {_fmt(weight)}")
 
 
-def _resolve_prior(exp, args) -> Optional[Kernel]:
-    if getattr(args, "uniform", False):
+def _resolve_prior(exp, args, needed_by: str) -> Kernel:
+    if args.uniform:
         if exp.semiring.name != "rational":
             raise LoadError("--uniform needs the rational semiring")
         return comparison.uniform_prior(exp.theta)
-    name = getattr(args, "prior", None)
-    if name is not None:
-        return exp.prior(name)
-    return None
+    if args.prior is None:
+        raise LoadError(f"{needed_by} needs --prior NAME or --uniform")
+    return exp.prior(args.prior)
 
 
 def _cmd_compare(args) -> int:
@@ -63,10 +61,7 @@ def _cmd_compare(args) -> int:
     elif mode == "bayes":
         witness = comparison.find_garbling_bayes(f, g)
     else:
-        prior = _resolve_prior(exp, args)
-        if prior is None:
-            raise LoadError("mode 'as' needs --prior NAME or --uniform")
-        witness = comparison.find_garbling_as(f, g, prior)
+        witness = comparison.find_garbling_as(f, g, _resolve_prior(exp, args, "mode 'as'"))
     if args.json:
         doc = {"mode": mode, "feasible": witness is not None,
                "witness": serialize.kernel_to_json(witness) if witness else None}
@@ -83,10 +78,7 @@ def _cmd_compare(args) -> int:
 def _cmd_standard_measure(args) -> int:
     exp = serialize.load_experiment(args.file)
     f = exp.kernel(args.f)
-    prior = _resolve_prior(exp, args)
-    if prior is None:
-        raise LoadError("standard-measure needs --prior NAME or --uniform")
-    md = blackwell.standard_measure(f, prior)
+    md = blackwell.standard_measure(f, _resolve_prior(exp, args, "standard-measure"))
     if args.json:
         print(json.dumps(serialize.metadist_to_json(md), indent=2, sort_keys=True))
     else:
@@ -99,10 +91,7 @@ def _cmd_bss(args) -> int:
     exp = serialize.load_experiment(args.file)
     f = exp.kernel(args.f)
     g = exp.kernel(args.g)
-    prior = _resolve_prior(exp, args)
-    if prior is None:
-        raise LoadError("bss needs --prior NAME or --uniform")
-    report = blackwell.bss_check(f, g, prior)
+    report = blackwell.bss_check(f, g, _resolve_prior(exp, args, "bss"))
     if args.json:
         print(json.dumps(serialize.bss_report_to_json(report), indent=2, sort_keys=True))
     else:
@@ -195,9 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except _ERRORS as exc:

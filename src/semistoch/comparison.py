@@ -18,8 +18,8 @@ from .conditioning import ase, conditional
 from .errors import CapabilityError, ShapeError, WitnessError
 from .feasibility import LinearSystem, find_feasible, verify
 from .findist import FinDist, FiniteSet
-from .kernel import (Kernel, compose, copy, discard, identity, marginalize, state,
-                     state_dist, tensor)
+from .kernel import (Kernel, compose, copy, discard, identity, joint, marginalize,
+                     state, state_dist, tensor)
 from .semiring import RATIONAL, same_semiring
 
 
@@ -77,7 +77,7 @@ def solve_channel(system: LinearSystem, dom: FiniteSet, cod: FiniteSet) -> Optio
     values = [solution[name] for name in system.variables]
     n = len(cod)
     return Kernel(RATIONAL, dom, cod,
-                  {x: FinDist(RATIONAL, cod, dict(zip(cod.labels, values[i * n:])))
+                  {x: FinDist(RATIONAL, cod, dict(zip(cod.labels, values[i * n:(i + 1) * n])))
                    for i, x in enumerate(dom.labels)})
 
 
@@ -167,13 +167,6 @@ class CondIndepWitness:
     cprime: Kernel
 
 
-def _joint(m: Kernel, k: Kernel) -> Kernel:
-    """The joint state of a prior m on Theta and k out of Theta, over Theta (x) cod(k)."""
-    sr = k.semiring
-    theta = k.dom
-    return compose(tensor(identity(sr, theta), k), compose(copy(sr, theta), m))
-
-
 def conditional_independence_witness(h: Kernel, m: Kernel) -> CondIndepWitness:
     """Build the joint state of (m, h) and its chain decomposition.
 
@@ -185,10 +178,10 @@ def conditional_independence_witness(h: Kernel, m: Kernel) -> CondIndepWitness:
     theta = h.dom
     if state_dist(m).base != theta:
         raise ShapeError("prior must be a state on the domain of h")
-    mu = _joint(m, h)
+    mu = joint(m, h)
     mu_xy = marginalize(mu, "right")
     n = marginalize(mu_xy, "left")
-    mu_tx = _joint(m, marginalize(h, "left"))
+    mu_tx = joint(m, marginalize(h, "left"))
     k = conditional(mu_tx, wrt="right")
     cprime = conditional(mu_xy, wrt="left")
     return CondIndepWitness(mu=mu, n=n, k=k, cprime=cprime)
@@ -218,11 +211,11 @@ def verify_conditional_independence(w: CondIndepWitness, f: Kernel, g: Kernel,
 
     mu_tx = compose(tensor(identity(sr, theta),
                            tensor(identity(sr, x_set), discard(sr, y_set))), w.mu)
-    cond_c = mu_tx == _joint(m, f)
+    cond_c = mu_tx == joint(m, f)
 
     mu_ty = compose(tensor(identity(sr, theta),
                            tensor(discard(sr, x_set), identity(sr, y_set))), w.mu)
-    cond_d = mu_ty == _joint(m, g)
+    cond_d = mu_ty == joint(m, g)
 
     return {"prior_marginal": cond_a, "chain_factorization": cond_b,
             "observation_part": cond_c, "outcome_part": cond_d}

@@ -16,9 +16,9 @@ from typing import Dict, Sequence, Tuple
 from . import findist as fd
 from .errors import CapabilityError, DistributionError, ShapeError
 from .findist import FinDist, FiniteSet, atoms, join_atoms, product_set, split_set
-from .kernel import (Kernel, compose, copy, from_function, identity, marginalize,
+from .kernel import (Kernel, compose, copy, from_function, identity, joint, marginalize,
                      state_dist, swap, tensor)
-from .semiring import DIVISION, ORDERED_IDEMPOTENT, RATIONAL, same_semiring
+from .semiring import RATIONAL, same_semiring
 
 
 def conditional(f: Kernel, wrt: str = "left") -> Kernel:
@@ -26,16 +26,16 @@ def conditional(f: Kernel, wrt: str = "left") -> Kernel:
 
     For ``f : A -> X (x) Y`` and ``wrt='left'`` returns ``k : X (x) A -> Y``
     with ``f(x, y | a) = k(y | x, a) * marginal(x | a)`` for every a, x, y;
-    ``wrt='right'`` conditions on Y instead.  Columns the equation does not
-    determine (zero marginal) default to the uniform distribution when the
-    semiring divides, and to a point mass at the first codomain label under
-    the ordered-idempotent rule.
+    ``wrt='right'`` conditions on Y instead.  Each column is the carrier's
+    ``condition`` of the weights that share its marginal, so columns the
+    equation does not determine (zero marginal) get the carrier's default:
+    the uniform distribution over rationals, a point mass at the first
+    codomain label over the trilattice.
     """
     if wrt not in ("left", "right"):
         raise ValueError(f"wrt must be 'left' or 'right', got {wrt!r}")
     sr = f.semiring
-    strategy = sr.conditional_strategy
-    if strategy not in (DIVISION, ORDERED_IDEMPOTENT):
+    if not sr.supports_conditionals:
         raise CapabilityError(f"{sr.name} does not support conditionals")
     left, right = split_set(f.cod)
     cond_set, out_set = (left, right) if wrt == "left" else (right, left)
@@ -48,29 +48,8 @@ def conditional(f: Kernel, wrt: str = "left") -> Kernel:
             x, y = (l, r) if wrt == "left" else (r, l)
             grouped[x][y] = value
         for x in cond_set.labels:
-            key = join_atoms(atoms(x) + atoms(a))
-            outcomes = grouped[x]
-            marg = sr.sum(outcomes.values())
-            if sr.is_zero(marg):
-                if strategy == DIVISION:
-                    columns[key] = fd.uniform(sr, out_set)
-                else:
-                    columns[key] = fd.dirac(sr, out_set, out_set.labels[0])
-            elif strategy == DIVISION:
-                shares = {}
-                for y, value in outcomes.items():
-                    q = sr.try_div(value, marg)
-                    if q is None:
-                        raise CapabilityError(f"{sr.name} cannot divide {sr.format(value)} "
-                                              f"by {sr.format(marg)}")
-                    shares[y] = q
-                columns[key] = FinDist(sr, out_set, shares)
-            else:
-                # Ordered-idempotent rule: weights strictly below the marginal
-                # pass through; weights equal to it saturate to one.
-                shares = {y: (sr.one if sr.eq(value, marg) else value)
-                          for y, value in outcomes.items()}
-                columns[key] = FinDist(sr, out_set, shares)
+            columns[join_atoms(atoms(x) + atoms(a))] = FinDist(
+                sr, out_set, sr.condition(grouped[x], out_set.labels))
     return Kernel(sr, new_dom, out_set, columns)
 
 
@@ -78,16 +57,13 @@ def bayesian_inverse(f: Kernel, prior: Kernel) -> Kernel:
     """Inverse of ``f : A -> X`` against a prior state on A.
 
     Returns ``k : X -> A`` with ``prior(a) * f(x | a) = (f . prior)(x) * k(a | x)``
-    for all a, x.  Columns at outcomes of zero marginal probability follow the
-    conditional's default.
+    for all a, x: the joint of prior and f conditioned on X.  Columns at
+    outcomes of zero marginal probability follow the conditional's default.
     """
     same_semiring(f.semiring, prior.semiring)
     if state_dist(prior).base != f.dom:
         raise ShapeError("prior must be a state on the domain of f")
-    sr = f.semiring
-    a_set = f.dom
-    joint = compose(tensor(identity(sr, a_set), f), compose(copy(sr, a_set), prior))
-    return conditional(joint, wrt="right")
+    return conditional(joint(prior, f), wrt="right")
 
 
 def ase(f: Kernel, g: Kernel, wrt: Kernel) -> bool:

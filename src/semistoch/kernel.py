@@ -169,6 +169,12 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
     return Kernel(f.semiring, dom, cod, {}, build)
 
 
+def joint(m: Kernel, k: Kernel) -> Kernel:
+    """The state ``(id (x) k) . copy . m`` over dom(k) (x) cod(k), for m a state on dom(k)."""
+    sr = k.semiring
+    return compose(tensor(identity(sr, k.dom), k), compose(copy(sr, k.dom), m))
+
+
 def marginalize(f: Kernel, side: str) -> Kernel:
     """Column-wise marginal onto one factor of a product codomain."""
     keep, project = fd._projection(f.cod, side)

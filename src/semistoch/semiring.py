@@ -2,8 +2,13 @@
 
 Every weight in this library lives in a commutative semiring chosen at
 runtime.  Instances bundle the carrier check, the two monoid operations,
-decidable equality, and a partial exact division used when conditionals
-are constructible.  No floating point anywhere.
+decidable equality and a partial exact division.  No floating point
+anywhere.
+
+A carrier that has conditionals supplies its own conditioning rule,
+``condition``: rationals divide by the marginal, and the trilattice
+passes weights below the marginal through and saturates the rest.  A
+carrier without one (pair-rational) refuses.
 
 Carrier membership is checked once, where a value enters: ``FinDist``
 checks every weight it stores, and ``parse`` checks every literal it
@@ -18,16 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Sequence
 
 from .errors import CapabilityError, ShapeError
 
 Value = Any
-
-# Conditional synthesis strategies.
-DIVISION = "division"
-ORDERED_IDEMPOTENT = "ordered-idempotent"
-NONE = "none"
 
 
 class Semiring:
@@ -40,13 +40,9 @@ class Semiring:
 
     name: str = "?"
     is_entire: bool = False
-    conditional_strategy: str = NONE
+    supports_conditionals: bool = False
     zero: Value = None
     one: Value = None
-
-    @property
-    def supports_conditionals(self) -> bool:
-        return self.conditional_strategy != NONE
 
     def check(self, value: Value) -> Value:
         """Validate and canonicalize a carrier value; raise ShapeError otherwise.
@@ -77,6 +73,14 @@ class Semiring:
     def try_div(self, a: Value, b: Value) -> Optional[Value]:
         raise NotImplementedError
 
+    def condition(self, weights: Dict[Any, Value], labels: Sequence) -> Dict[Any, Value]:
+        """The column over ``labels`` conditioned on the marginal, sum(weights).
+
+        ``weights`` covers some of the labels.  A zero marginal determines
+        nothing, and the column is the carrier's default.
+        """
+        raise CapabilityError(f"{self.name} does not support conditionals")
+
     def parse(self, text: str) -> Value:
         raise NotImplementedError
 
@@ -97,7 +101,7 @@ class RationalSemiring(Semiring):
 
     name = "rational"
     is_entire = True
-    conditional_strategy = DIVISION
+    supports_conditionals = True
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -121,8 +125,18 @@ class RationalSemiring(Semiring):
             return None
         return a / b
 
+    def condition(self, weights, labels):
+        marg = self.sum(weights.values())
+        if marg == 0:
+            return dict.fromkeys(labels, Fraction(1, len(labels)))
+        return {label: value / marg for label, value in weights.items()}
+
     def parse(self, text):
+        # Integers, p/q and finite decimals.  No exponents: Fraction would
+        # compute 10**exponent in full, so "1e-3000000" could stall a load.
         try:
+            if "e" in text or "E" in text:
+                raise ValueError("exponent")
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ShapeError(f"bad rational literal {text!r}") from exc
@@ -163,7 +177,7 @@ class TrilatticeSemiring(Semiring):
 
     name = "trilattice"
     is_entire = True
-    conditional_strategy = ORDERED_IDEMPOTENT
+    supports_conditionals = True
     zero = TRI_ZERO
     one = TRI_ONE
 
@@ -184,6 +198,14 @@ class TrilatticeSemiring(Semiring):
                 return q
         return None
 
+    def condition(self, weights, labels):
+        # Weights below the marginal pass through; those equal to it saturate.
+        marg = self.sum(weights.values())
+        if marg == TRI_ZERO:
+            return {labels[0]: TRI_ONE}
+        return {label: (TRI_ONE if value == marg else value)
+                for label, value in weights.items()}
+
     def parse(self, text):
         try:
             return _TRI_NAMES[text]
@@ -198,12 +220,11 @@ class PairSemiring(Semiring):
     """Componentwise product of a semiring with itself.
 
     Not entire even when the base is: (one, zero) * (zero, one) = zero.
-    There is no conditional strategy for it; operations that need
-    conditionals refuse to run.
+    It has no conditioning rule; operations that need conditionals refuse
+    to run.
     """
 
     is_entire = False
-    conditional_strategy = NONE
 
     def __init__(self, base: Semiring, name: str):
         self.base = base

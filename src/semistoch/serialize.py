@@ -18,7 +18,7 @@ from .blackwell import BssReport, Dilation, MetaDist
 from .conditioning import Point
 from .errors import LoadError, ShapeError
 from .findist import FinDist, FiniteSet, product_set
-from .kernel import Kernel, state
+from .kernel import Kernel, from_function, state
 from .semiring import Semiring, semiring_by_name
 
 
@@ -147,17 +147,15 @@ def kernel_from_json(obj: Any, semiring: Semiring, name: str = "kernel") -> Kern
         mapping = obj["function"]
         if not isinstance(mapping, dict):
             raise LoadError(f"{name}.function must be an object")
-        columns = {}
-        from . import findist as fd
+        targets = {}
         for key, a in inputs.items():
             if key not in mapping:
                 raise LoadError(f"{name}.function misses input {key!r}")
-            target = _label_from_json(mapping[key])
-            if target not in cod:
+            targets[a] = _label_from_json(mapping[key])
+            if targets[a] not in cod:
                 raise LoadError(f"{name}.function sends {key!r} outside the codomain")
-            columns[a] = fd.dirac(semiring, cod, target)
         _reject_unknown_inputs(mapping, inputs, f"{name}.function")
-        return Kernel(semiring, dom, cod, columns)
+        return from_function(semiring, dom, cod, targets.__getitem__)
     if "columns" not in obj:
         raise LoadError(f"{name} needs 'columns' or 'function'")
     raw = obj["columns"]

@@ -209,3 +209,13 @@ class TestParser:
         assert main(["compare", path, "f", "f"]) == 2
         assert capsys.readouterr().err == (
             "error: f.columns['s'] weight for 'q': negative weight -1/2 outside the carrier\n")
+
+    def test_exponent_literal_is_refused_with_its_location(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {
+            "theta": ["s", "t"],
+            "kernels": {"f": {"dom": ["s", "t"], "cod": ["x", "y"],
+                              "columns": {"s": {"x": "5e-1", "y": "1/2"},
+                                          "t": {"x": "1"}}}}})
+        assert main(["compare", path, "f", "f"]) == 2
+        assert capsys.readouterr().err == (
+            "error: f.columns['s'] weight for 'x': bad rational literal '5e-1'\n")

@@ -10,6 +10,8 @@ from semistoch import (
     RATIONAL,
     ShapeError,
     TRILATTICE,
+    TRI_EPS,
+    TRI_ONE,
     bayesian_inverse,
     compose,
     copy,
@@ -18,6 +20,7 @@ from semistoch import (
     from_function,
     identity,
     is_deterministic,
+    joint,
     marginalize,
     product,
     product_set,
@@ -213,6 +216,34 @@ def test_tensor_column_outside_domain():
     for label in (("a", "c"), ("z", "e"), "a", ("a", "e", "e")):
         with pytest.raises(ShapeError, match="not in domain"):
             fg.column(label)
+
+
+def joint_cases():
+    r = corpus.rng("kernel-joint")
+    k = corpus.random_kernel(r, AB, CD)
+    partial = state(FinDist(RATIONAL, AB, {"b": Fraction(1)}))
+    tri_prior = state(FinDist(TRILATTICE, AB, {"a": TRI_EPS, "b": TRI_ONE}))
+    pair_prior = state(FinDist(PAIR_RATIONAL, AB, {"a": (Fraction(1, 3), Fraction(1)),
+                                                   "b": (Fraction(2, 3), Fraction(0))}))
+    return {
+        "rational": (corpus.random_prior(r, AB, full=True), k),
+        "rational-partial-prior": (partial, k),
+        "trilattice": (tri_prior, corpus.tri_kernels(AB, CD)[7]),
+        "pair-rational": (pair_prior, pair_kernel(k, corpus.random_kernel(r, AB, CD))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(joint_cases()))
+def test_joint_is_the_copied_prior_beside_the_kernel(case):
+    m, k = joint_cases()[case]
+    sr = k.semiring
+    j = joint(m, k)
+    assert j == compose(tensor(identity(sr, AB), k), compose(copy(sr, AB), m))
+    assert j.dom == unit_set() and j.cod == product_set(AB, CD)
+    prior = state_dist(m)
+    for a in AB.labels:
+        for x in CD.labels:
+            assert j.weight((a, x), ()) == sr.mul(prior.weight(a), k.weight(x, a))
 
 
 def test_tensor_of_identities_is_identity():

@@ -39,9 +39,30 @@ def test_capability_flags():
     assert RATIONAL.supports_conditionals
     assert TRILATTICE.supports_conditionals
     assert not PAIR_RATIONAL.supports_conditionals
-    assert RATIONAL.conditional_strategy == "division"
-    assert TRILATTICE.conditional_strategy == "ordered-idempotent"
-    assert PAIR_RATIONAL.conditional_strategy == "none"
+
+
+CXY = ("x", "y", "z")
+
+
+@pytest.mark.parametrize("semiring, weights, column", [
+    (RATIONAL, {"x": Fraction(1, 6), "z": Fraction(1, 3)},
+     {"x": Fraction(1, 3), "z": Fraction(2, 3)}),
+    (RATIONAL, {}, dict.fromkeys(CXY, Fraction(1, 3))),
+    (RATIONAL, {"y": Fraction(0)}, dict.fromkeys(CXY, Fraction(1, 3))),
+    (TRILATTICE, {"x": TRI_EPS, "y": TRI_EPS}, {"x": TRI_ONE, "y": TRI_ONE}),
+    (TRILATTICE, {"x": TRI_EPS, "y": TRI_ONE}, {"x": TRI_EPS, "y": TRI_ONE}),
+    (TRILATTICE, {}, {"x": TRI_ONE}),
+    (TRILATTICE, {"y": TRI_ZERO}, {"x": TRI_ONE}),
+], ids=["rational-divides", "rational-empty-is-uniform", "rational-zero-is-uniform",
+        "trilattice-equal-saturates", "trilattice-below-passes", "trilattice-empty-is-first",
+        "trilattice-zero-is-first"])
+def test_condition_is_the_carriers_rule(semiring, weights, column):
+    assert semiring.condition(weights, CXY) == column
+
+
+def test_pair_carrier_has_no_conditioning_rule():
+    with pytest.raises(CapabilityError, match="^pair-rational does not support conditionals$"):
+        PAIR_RATIONAL.condition({"x": (Fraction(1), Fraction(1))}, CXY)
 
 
 def test_rational_ops_are_exact():

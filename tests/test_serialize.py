@@ -123,8 +123,11 @@ class TestDistJson:
         (RATIONAL, "eps", "bad rational literal 'eps'"),
         (TRILATTICE, "1/2", "bad trilattice literal '1/2'"),
         (PAIR_RATIONAL, "(1/2)", "bad pair literal '(1/2)'"),
+        (RATIONAL, "1e-3", "bad rational literal '1e-3'"),
+        (RATIONAL, "1E5", "bad rational literal '1E5'"),
+        (PAIR_RATIONAL, "(1e5,1)", "bad rational literal '1e5'"),
     ], ids=["negative", "malformed", "trilattice-under-rational", "rational-under-trilattice",
-            "short-pair"])
+            "short-pair", "exponent", "upper-exponent", "exponent-in-pair"])
     def test_bad_weight_literal_names_its_key(self, semiring, text, cause):
         doc = {"x": semiring.format(semiring.one), "y": text}
         with pytest.raises(LoadError) as exc:
