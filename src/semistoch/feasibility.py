@@ -1,11 +1,21 @@
 """Exact feasibility of linear equality systems over nonnegative rationals.
 
-Phase-1 simplex with Bland's anti-cycling rule on integer tableau rows.
-Each row is stored as a positive integer multiple of the rational row it
-stands for, scaled by the lcm of its denominators when built and divided by
-the gcd of its entries after each elimination.  A positive scale changes no
-sign and cancels from every ratio the ratio test compares, so each pivot,
-verdict and witness is the one a ``Fraction`` tableau gives.  ``Fraction``
+A presolve runs first.  Every variable is >= 0, so a row with rhs 0 whose
+coefficients all share one sign is a sum of terms of one sign equal to 0:
+each of its variables is 0.  Those variables are fixed to 0 and their
+columns removed, repeatedly, since removing them can leave another zero row
+with one sign.  A row left with no variable is dropped, or proves the
+system infeasible when its rhs is not 0.  In the channel systems every
+coefficient is nonnegative, so every zero row is of one sign, and those
+rows are where the degenerate pivots came from.
+
+Then a phase-1 simplex with Bland's anti-cycling rule runs on integer
+tableau rows of the presolved system.  Each row is stored as a positive
+integer multiple of the rational row it stands for, scaled by the lcm of
+its denominators when built and divided by the gcd of its entries after
+each elimination.  A positive scale changes no sign and cancels from every
+ratio the ratio test compares, so each pivot, verdict and witness is the
+one a ``Fraction`` tableau gives on the presolved system.  ``Fraction``
 appears only where rows are built and where the solution is read out.
 
 The tableau is sparse: each row maps a column to its nonzero entry, and a
@@ -25,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .errors import ShapeError
 
@@ -91,13 +101,13 @@ def verify(system: LinearSystem, assignment: Mapping[str, Fraction]) -> bool:
         if name not in assignment:
             raise ShapeError(f"assignment misses variable {name!r}")
         values.append(_exact(assignment[name], "value of", name))
-    d = lcm(*(v.denominator for v in values))
+    d = lcm(*[v.denominator for v in values])
     nums = {name: v.numerator * (d // v.denominator)
             for name, v in zip(system.variables, values)}
     if any(n < 0 for n in nums.values()):
         return False
     for coeffs, rhs in system.equalities:
-        s = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        s = lcm(rhs.denominator, *[c.denominator for c in coeffs.values()])
         total = sum(c.numerator * (s // c.denominator) * nums[name] for name, c in coeffs.items())
         if total != rhs.numerator * (s // rhs.denominator) * d:
             return False
@@ -130,13 +140,50 @@ def _combine(row: Dict[int, int], p: int, q: int, pivot_row: Dict[int, int]) -> 
     return _primitive(out)
 
 
+def _forced_zero(equalities) -> Set[str]:
+    """The variables every nonnegative solution of the equalities sets to 0.
+
+    With x >= 0, a row whose rhs is 0 and whose coefficients all share one
+    sign is a sum of terms of that sign equal to 0, so each term is 0 and
+    each of its variables is 0.  Once those are fixed, another zero row may
+    have one sign left among its other coefficients, so the passes repeat
+    until one fixes nothing.
+    """
+    zero_rows = [coeffs for coeffs, b in equalities if not b.numerator]
+    fixed: Set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for coeffs in zero_rows:
+            pos = neg = False
+            for name, v in coeffs.items():
+                if name not in fixed:
+                    if v.numerator > 0:
+                        pos = True
+                    else:
+                        neg = True
+            if pos != neg:
+                fixed.update(coeffs)
+                grew = True
+    return fixed
+
+
 def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
     """A nonnegative exact solution of the equalities, or None.
 
-    Runs phase-1 simplex: minimize the sum of one artificial variable per
-    row.  Bland's rule (smallest eligible index enters; among minimum
-    ratios the row whose basic variable has the smallest index leaves)
-    guarantees termination without cycling.
+    First a presolve fixes to 0 every variable that a zero-rhs row of one
+    sign forces to 0 (see ``_forced_zero``), drops the rows this leaves with
+    no variable, and returns None, before any pivot, when such a row has a
+    nonzero rhs.  The fixed variables are read out as ``Fraction(0)``.
+
+    On the rows that remain it runs phase-1 simplex: minimize the sum of
+    one artificial variable per row.  Bland's rule (smallest eligible index
+    enters; among minimum ratios the row whose basic variable has the
+    smallest index leaves) guarantees termination without cycling.  Each
+    column keeps its index in the full system, so the remaining columns
+    enter in the order they would there.  Without the degenerate pivots
+    on the dropped rows, the path can end at another vertex than the full
+    system's tableau would: the same verdict, another exact witness.
 
     Each tableau row, and the objective row, is stored as column -> nonzero
     int: a positive multiple of the rational row it stands for, kept
@@ -150,18 +197,28 @@ def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
     """
     n = len(system.variables)
     m = len(system.equalities)
-    if m == 0:
-        return {name: Fraction(0) for name in system.variables}
+    fixed = _forced_zero(system.equalities)
 
     # Sparse integer rows: n structural columns, m artificial columns, then
     # the rhs at column n + m.  Row i is scaled by the lcm of its
     # denominators, negated when its rhs is negative, so its artificial
-    # entry is that lcm and the row has gcd 1.
+    # entry is that lcm and the row has gcd 1.  A row keeps its artificial
+    # column n + i when rows before it are dropped.
     rhs = n + m
     index = system._index
     rows: List[Dict[int, int]] = []
+    basis: List[int] = []
     for i, (coeffs, b) in enumerate(system.equalities):
-        scale = lcm(b.denominator, *(v.denominator for v in coeffs.values()))
+        if fixed and not fixed.isdisjoint(coeffs):
+            coeffs = {name: v for name, v in coeffs.items() if name not in fixed}
+        if not coeffs:
+            if b.numerator:
+                return None
+            continue
+        # Star-arguments from a list, not a generator: CPython builds a
+        # generator's argument tuple by resizing, and each such tuple of
+        # fewer than 21 items stays on a free list once it is released.
+        scale = lcm(b.denominator, *[v.denominator for v in coeffs.values()])
         sign = -1 if b.numerator < 0 else 1
         row = {index[name]: sign * v.numerator * (scale // v.denominator)
                for name, v in coeffs.items()}
@@ -169,17 +226,17 @@ def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
             row[rhs] = sign * b.numerator * (scale // b.denominator)
         row[n + i] = scale
         rows.append(row)
-    basis = [n + i for i in range(m)]
+        basis.append(n + i)
 
     # Phase-1 objective row: reduced costs for cost vector (0,...,0,1,...,1),
     # minus the sum of the rational rows off the artificial columns, where
     # each artificial's cost cancels its unit entry.  Row i stands for
     # row / scale_i, scale_i its artificial entry, so it is weighted by
     # common // scale_i.
-    common = lcm(*(row[n + i] for i, row in enumerate(rows)))
+    common = lcm(*[row[a] for row, a in zip(rows, basis)])
     obj: Dict[int, int] = {}
-    for i, row in enumerate(rows):
-        k = common // row[n + i]
+    for row, a in zip(rows, basis):
+        k = common // row[a]
         for j, v in row.items():
             if j < n or j == rhs:
                 obj[j] = obj.get(j, 0) - k * v
@@ -215,7 +272,7 @@ def find_feasible(system: LinearSystem) -> Optional[Dict[str, Fraction]]:
     if rhs in obj:  # leftover artificial mass: no feasible point
         return None
     solution = {name: Fraction(0) for name in system.variables}
-    for i in range(m):
-        if basis[i] < n:
-            solution[system.variables[basis[i]]] = Fraction(rows[i].get(rhs, 0), rows[i][basis[i]])
+    for row, j in zip(rows, basis):
+        if j < n:
+            solution[system.variables[j]] = Fraction(row.get(rhs, 0), row[j])
     return solution

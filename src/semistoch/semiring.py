@@ -21,6 +21,7 @@ own operations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Iterable, Optional, Sequence
@@ -91,6 +92,10 @@ class Semiring:
         return f"<semiring {self.name}>"
 
 
+# ASCII integers, p/q and finite decimals, each with an optional sign.
+_RATIONAL_LITERAL = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
+
 class RationalSemiring(Semiring):
     """Nonnegative rationals under + and *.
 
@@ -132,11 +137,14 @@ class RationalSemiring(Semiring):
         return {label: value / marg for label, value in weights.items()}
 
     def parse(self, text):
-        # Integers, p/q and finite decimals.  No exponents: Fraction would
-        # compute 10**exponent in full, so "1e-3000000" could stall a load.
+        # Only the documented grammar reaches Fraction, which also takes
+        # exponents (it would compute 10**exponent in full, so "1e-3000000"
+        # could stall a load), underscores, surrounding whitespace and
+        # non-ASCII digits.  Fraction still refuses a zero denominator and
+        # more digits than int conversion allows.
+        if _RATIONAL_LITERAL.fullmatch(text) is None:
+            raise ShapeError(f"bad rational literal {text!r}")
         try:
-            if "e" in text or "E" in text:
-                raise ValueError("exponent")
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ShapeError(f"bad rational literal {text!r}") from exc

@@ -253,6 +253,10 @@ def load_experiment(source: Union[str, Path, dict]) -> ExperimentFile:
             raise LoadError(f"cannot read {source}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise LoadError(f"invalid JSON in {source}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"{source} is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise LoadError(f"JSON in {source} is nested too deeply") from exc
     else:
         data = source
     if not isinstance(data, dict):

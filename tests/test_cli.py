@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: parsing, exit codes, report rendering."""
 
 import json
+import random
 
 import pytest
 
@@ -199,6 +200,22 @@ class TestParser:
         path.write_text("{oops", encoding="utf-8")
         assert main(["compare", str(path), "f", "g"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bytes_that_are_not_utf8_report_the_file(self, tmp_path, capsys):
+        data = random.Random(300).randbytes(300)
+        with pytest.raises(UnicodeDecodeError):
+            data.decode("utf-8")
+        path = tmp_path / "noise.json"
+        path.write_bytes(data)
+        assert main(["compare", str(path), "f", "g"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not UTF-8 text")
+
+    def test_deep_nesting_reports_the_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["bss", str(path), "f", "g", "--uniform"]) == 2
+        assert capsys.readouterr().err == f"error: JSON in {path} is nested too deeply\n"
 
     def test_weight_outside_carrier_reports_its_location(self, tmp_path, capsys):
         path = write_doc(tmp_path, {

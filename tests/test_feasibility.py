@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistoch import LinearSystem, ShapeError, find_feasible, verify
+from semistoch import LinearSystem, ShapeError, feasibility, find_feasible, verify
 
 import corpus
+import dense_simplex
 import lp_oracle
 
 
@@ -249,3 +250,128 @@ def test_rod_garbling_system_feasible(rod_f, rod_g):
         "c['fail'|'fail']": Fraction(1),
     }
     assert verify(sys_, witness)
+
+
+# -- presolve: zero-rhs rows of one sign fix their variables to 0 ---------------
+
+def system_of(names, rows):
+    sys_ = LinearSystem(names)
+    for coeffs, rhs in rows:
+        sys_.add_equality({name: Fraction(c) for name, c in coeffs.items()}, Fraction(rhs))
+    return sys_
+
+
+def forced_are_zero_everywhere(sys_, forced) -> bool:
+    """No nonnegative solution gives a forced variable a positive value.
+
+    Scaling shows that v > 0 is possible iff v = t is, for some t > 0, so it
+    is enough that the system with v = 1 added is infeasible, by brute force.
+    """
+    for name in forced:
+        pinned = system_of(sys_.variables, [*sys_.equalities, ({name: 1}, 1)])
+        if lp_oracle.brute_force_feasible(pinned):
+            return False
+    return True
+
+
+def check_presolve(sys_, forced):
+    """forced is what the presolve fixes; the solve agrees with both oracles."""
+    assert feasibility._forced_zero(sys_.equalities) == set(forced)
+    assert forced_are_zero_everywhere(sys_, forced)
+    sol = find_feasible(sys_)
+    assert (sol is not None) == lp_oracle.brute_force_feasible(sys_)
+    assert (sol is not None) == (dense_simplex.find_feasible(sys_) is not None)
+    if sol is not None:
+        assert verify(sys_, sol)
+        assert all(sol[name] == 0 and type(sol[name]) is Fraction for name in forced)
+    return sol
+
+
+@pytest.mark.parametrize("rows, forced, feasible", [
+    ([({"x": 1, "y": 2}, 0), ({"x": 1, "y": 1, "z": 1}, 1)], "xy", True),
+    ([({"x": -1, "y": -3}, 0), ({"x": 1, "y": 1, "z": 2}, 2)], "xy", True),
+    ([({"x": Fraction(1, 3)}, 0), ({"x": 1, "y": -1}, -1)], "x", True),
+    ([({"x": 1, "y": 1}, 0), ({"x": 2, "z": 1}, -1)], "xy", False),
+], ids=["positive", "negative", "fractional", "infeasible-after-fixing"])
+def test_presolve_fixes_one_sign_zero_rows(rows, forced, feasible):
+    sol = check_presolve(system_of(["x", "y", "z"], rows), forced)
+    assert (sol is not None) == feasible
+
+
+def test_presolve_repeats_until_a_chain_is_fixed():
+    # Each mixed row becomes one-signed only once the row after it has fixed
+    # its negative variable, so the presolve needs a pass per link.
+    names = ["a", "b", "c", "d", "e"]
+    rows = [({"a": 1, "b": -1}, 0), ({"b": 2, "c": -1}, 0), ({"c": 1, "d": -3}, 0),
+            ({"d": 1}, 0), ({"a": 1, "e": 1}, 1)]
+    sol = check_presolve(system_of(names, rows), "abcd")
+    assert sol == {"a": 0, "b": 0, "c": 0, "d": 0, "e": 1}
+
+
+def test_presolve_leaves_mixed_zero_rows_alone():
+    rows = [({"x": 1, "y": -1}, 0), ({"y": 2, "z": -1}, 0), ({"x": 1, "z": 1}, 3)]
+    sol = check_presolve(system_of(["x", "y", "z"], rows), "")
+    assert sol == {"x": 1, "y": 1, "z": 2}
+
+
+@pytest.mark.parametrize("rows", [
+    [({"x": 1, "y": 1}, 0), ({"x": 3, "y": 1}, 2)],
+    [({"x": -2}, 0), ({"y": 1, "z": -1}, 0), ({"z": 1}, 0), ({"x": 1, "y": 1}, -1)],
+    [({}, 5)],
+], ids=["one-row", "after-a-chain", "empty-from-the-start"])
+def test_emptied_row_with_nonzero_rhs_is_infeasible_without_a_pivot(rows, monkeypatch):
+    sys_ = system_of(["x", "y", "z"], rows)
+
+    def no_pivot(*args):
+        raise AssertionError("the presolve should refuse before any pivot")
+
+    monkeypatch.setattr(feasibility, "_combine", no_pivot)
+    assert find_feasible(sys_) is None
+    assert not lp_oracle.brute_force_feasible(sys_)
+    assert dense_simplex.find_feasible(sys_) is None
+
+
+def presolve_system(r):
+    """A small system with planted zeros that the presolve must find.
+
+    A random subset of the variables is 0 in the planted point.  Its first
+    member gets a one-sign zero row and each later one a mixed zero row with
+    the member before it, listed in reverse so fixing them takes several
+    passes.  Mixed zero rows across the other variables fix nothing; the
+    remaining rows take the planted rhs or, now and then, an arbitrary one.
+    """
+    names = [f"v{i}" for i in range(r.randint(2, 6))]
+    zero = r.sample(names, r.randint(0, len(names) - 1))
+    planted = {n: Fraction(0) if n in zero else Fraction(r.randint(1, 3)) for n in names}
+    rows = []
+    if zero:
+        sign = r.choice([-1, 1])
+        rows.append(({zero[0]: sign * r.randint(1, 3)}, 0))
+        for prev, cur in zip(zero, zero[1:]):
+            sign = r.choice([-1, 1])
+            rows.append(({cur: sign * r.randint(1, 3), prev: -sign * r.randint(1, 3)}, 0))
+        rows.reverse()
+    free = [n for n in names if n not in zero]
+    if len(free) >= 2:
+        a, b = r.sample(free, 2)
+        rows.append(({a: planted[b], b: -planted[a]}, 0))  # mixed, holds at the plant
+    for _ in range(r.randint(1, 3)):
+        coeffs = {n: Fraction(r.randint(-3, 3)) for n in names if r.random() < 0.7}
+        rhs = sum((c * planted[n] for n, c in coeffs.items()), Fraction(0))
+        rows.append((coeffs, rhs if r.random() < 0.8 else Fraction(r.randint(-3, 3))))
+    r.shuffle(rows)
+    return system_of(names, rows), zero
+
+
+def test_presolve_on_seeded_systems():
+    forced_any = chained = infeasible = 0
+    for i in range(60):
+        r = corpus.rng(f"presolve/{i}")
+        sys_, zero = presolve_system(r)
+        forced = feasibility._forced_zero(sys_.equalities)
+        assert set(zero) <= forced
+        check_presolve(sys_, forced)
+        forced_any += bool(forced)
+        chained += len(zero) >= 2
+        infeasible += find_feasible(sys_) is None
+    assert forced_any > 30 and chained > 10 and 0 < infeasible < 60

@@ -126,8 +126,14 @@ class TestDistJson:
         (RATIONAL, "1e-3", "bad rational literal '1e-3'"),
         (RATIONAL, "1E5", "bad rational literal '1E5'"),
         (PAIR_RATIONAL, "(1e5,1)", "bad rational literal '1e5'"),
+        (RATIONAL, "1_000", "bad rational literal '1_000'"),
+        (RATIONAL, " 1/2 ", "bad rational literal ' 1/2 '"),
+        (RATIONAL, "\u0661/\u0662", "bad rational literal '\u0661/\u0662'"),
+        (RATIONAL, "1/0", "bad rational literal '1/0'"),
+        (RATIONAL, "7" * 5000, f"bad rational literal {'7' * 5000!r}"),
     ], ids=["negative", "malformed", "trilattice-under-rational", "rational-under-trilattice",
-            "short-pair", "exponent", "upper-exponent", "exponent-in-pair"])
+            "short-pair", "exponent", "upper-exponent", "exponent-in-pair",
+            "underscore", "padded", "arabic-indic-digits", "zero-denominator", "too-many-digits"])
     def test_bad_weight_literal_names_its_key(self, semiring, text, cause):
         doc = {"x": semiring.format(semiring.one), "y": text}
         with pytest.raises(LoadError) as exc:
