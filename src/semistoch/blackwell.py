@@ -154,9 +154,9 @@ def dilation_system(p_hat: MetaDist, q_hat: MetaDist) -> LinearSystem:
         raise ShapeError("meta-distributions must share a hypothesis base")
     sources, targets = q_hat.support, p_hat.support
     rows = [[_dvar(i, j) for j, _ in enumerate(targets)] for i, _ in enumerate(sources)]
-    system = LinearSystem([name for row in rows for name in row])
+    system = LinearSystem(name for row in rows for name in row)
     one = Fraction(1)
-    coords = list(zip(*[target.weights for target in targets]))  # [pos][j]: target j at pos
+    coords = list(zip(*(target.weights for target in targets)))  # [pos][j]: target j at pos
     for row, source in zip(rows, sources):
         system.add_equality(dict.fromkeys(row, one), one)
         for coord, at_pos in zip(source.weights, coords):

@@ -47,7 +47,7 @@ def garbling_system(f: Kernel, g: Kernel, support) -> LinearSystem:
     """
     x_labels, y_labels = f.cod.labels, g.cod.labels
     names = [[_var(y, x) for y in y_labels] for x in x_labels]
-    system = LinearSystem([name for row in names for name in row])
+    system = LinearSystem(name for row in names for name in row)
     one, zero = Fraction(1), Fraction(0)
     for row in names:
         system.add_equality(dict.fromkeys(row, one), one)

@@ -275,12 +275,18 @@ def forced_are_zero_everywhere(sys_, forced) -> bool:
 
 
 def check_presolve(sys_, forced):
-    """forced is what the presolve fixes; the solve agrees with both oracles."""
+    """forced is what the presolve fixes; the solve agrees with both oracles.
+
+    The dense tableau with its own presolve must give the identical
+    solution, and without it the same verdict.
+    """
     assert feasibility._forced_zero(sys_.equalities) == set(forced)
+    assert dense_simplex.forced_zero(sys_) == set(forced)
     assert forced_are_zero_everywhere(sys_, forced)
     sol = find_feasible(sys_)
     assert (sol is not None) == lp_oracle.brute_force_feasible(sys_)
-    assert (sol is not None) == (dense_simplex.find_feasible(sys_) is not None)
+    assert sol == dense_simplex.find_feasible(sys_)
+    assert (sol is not None) == (dense_simplex.find_feasible(sys_, presolve=False) is not None)
     if sol is not None:
         assert verify(sys_, sol)
         assert all(sol[name] == 0 and type(sol[name]) is Fraction for name in forced)
@@ -329,6 +335,7 @@ def test_emptied_row_with_nonzero_rhs_is_infeasible_without_a_pivot(rows, monkey
     assert find_feasible(sys_) is None
     assert not lp_oracle.brute_force_feasible(sys_)
     assert dense_simplex.find_feasible(sys_) is None
+    assert dense_simplex.find_feasible(sys_, presolve=False) is None
 
 
 def presolve_system(r):

@@ -1,7 +1,9 @@
 """The integer-row simplex against the dense Fraction one it replaced, pivot for pivot.
 
-Both follow the same phase-1 rule, so they must agree on the verdict and
-return the identical solution dict, not merely an equivalent one.  The edge
+Both run the same presolve and then the same phase-1 rule on the presolved
+system, so they must agree on the verdict and return the identical solution
+dict, not merely an equivalent one.  The dense tableau on the full system,
+without the presolve, must reach the same verdict.  The edge
 systems are the shapes where a sparse row is easiest to get wrong: a zero
 rhs has no rhs key, a negated row flips every stored entry, an empty row
 holds only its artificial, and a redundant row leaves an artificial basic
@@ -138,6 +140,7 @@ def assert_same(system: LinearSystem) -> None:
     sparse = find_feasible(system)
     dense = dense_simplex.find_feasible(system)
     assert sparse == dense
+    assert (sparse is None) == (dense_simplex.find_feasible(system, presolve=False) is None)
     if sparse is not None:
         assert list(sparse) == list(dense)
         assert all(type(v) is Fraction for v in sparse.values())
