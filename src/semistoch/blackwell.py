@@ -135,7 +135,7 @@ def standard_experiment(f: Kernel, m: Kernel) -> Kernel:
 
 def standard_measure(f: Kernel, m: Kernel) -> MetaDist:
     """Distribution of the posterior point under the prior."""
-    return meta_of_state(compose(standard_experiment(f, m), m))
+    return meta_of_state(compose(sharp(bayesian_inverse(f, m)), compose(f, m)))
 
 
 def _dvar(i: int, j: int) -> str:
@@ -216,10 +216,13 @@ def garbling_to_dilation(c: Kernel, f: Kernel, g: Kernel, m: Kernel) -> Dilation
     """
     if not ase(compose(c, f), g, m):
         raise WitnessError("channel does not convert f into g almost surely")
-    f_hat = standard_experiment(f, m)
-    c_hat = compose(sharp(bayesian_inverse(g, m)), compose(c, recovery_map(f, m)))
-    t_dag = bayesian_inverse(c_hat, compose(f_hat, m))
-    return Dilation((point, t_dag.column(point)) for point in standard_measure(g, m).support)
+    # One posterior assignment per experiment; measures and recovery maps derive from it.
+    post_f, post_g = sharp(bayesian_inverse(f, m)), sharp(bayesian_inverse(g, m))
+    f_m = compose(f, m)
+    c_hat = compose(post_g, compose(c, bayesian_inverse(post_f, f_m)))
+    t_dag = bayesian_inverse(c_hat, compose(post_f, f_m))
+    g_hat_m = state_dist(compose(post_g, compose(g, m)))
+    return Dilation((point, t_dag.column(point)) for point in g_hat_m.support)
 
 
 def dilation_to_garbling(t: Dilation, f: Kernel, g: Kernel, m: Kernel) -> Kernel:
@@ -229,19 +232,21 @@ def dilation_to_garbling(t: Dilation, f: Kernel, g: Kernel, m: Kernel) -> Kernel
     the posterior assignment of f, and returns through the recovery map of
     g.  The composite converts f into g almost surely wrt m.
     """
-    g_hat_m = standard_measure(g, m)
-    f_hat_m = standard_measure(f, m)
+    # One posterior assignment per experiment; measures and recovery maps derive from it.
+    post_f, post_g = sharp(bayesian_inverse(f, m)), sharp(bayesian_inverse(g, m))
+    g_m = compose(g, m)
+    g_hat_m = meta_of_state(compose(post_g, g_m))
+    f_hat_m = meta_of_state(compose(post_f, compose(f, m)))
     if not is_dilation(t, g_hat_m):
         raise WitnessError("rows do not average back to their sources")
     if transport(t, g_hat_m) != f_hat_m:
         raise WitnessError("dilation does not transport the standard measures")
     t_k = _restrict(t, g_hat_m)
     t_dag = bayesian_inverse(t_k, state(g_hat_m))
-    sharp_f_dag = sharp(bayesian_inverse(f, m))
-    r_g = recovery_map(g, m)
-    lifted = _extend_kernel(t_dag, sharp_f_dag.cod)
+    r_g = bayesian_inverse(post_g, g_m)
+    lifted = _extend_kernel(t_dag, post_f.cod)
     include = from_function(RATIONAL, t_k.dom, r_g.dom, lambda p: p)
-    c = compose(r_g, compose(include, compose(lifted, sharp_f_dag)))
+    c = compose(r_g, compose(include, compose(lifted, post_f)))
     if not ase(compose(c, f), g, m):
         raise WitnessError("extracted channel failed verification")
     return c

@@ -38,15 +38,15 @@ class FiniteSet:
         self.labels = tuple(labels)
         if not self.labels:
             raise DistributionError("a finite set needs at least one label")
-        arities = {len(atoms(label)) for label in self.labels}
+        arities = {len(label) if isinstance(label, tuple) else 1 for label in self.labels}
         if len(arities) != 1:
             raise DistributionError("labels must all have the same arity")
         self.arity = arities.pop()
-        self._index: Dict[Label, int] = {}
-        for label in self.labels:
-            if label in self._index:
-                raise DistributionError(f"duplicate label {label!r}")
-            self._index[label] = len(self._index)
+        self._index: Dict[Label, int] = {label: i for i, label in enumerate(self.labels)}
+        if len(self._index) != len(self.labels):
+            dup = next(label for i, label in enumerate(self.labels)
+                       if self.labels.index(label) < i)
+            raise DistributionError(f"duplicate label {dup!r}")
         if factors is not None:
             left, right = factors
             if left.arity + right.arity != self.arity:
@@ -70,7 +70,7 @@ class FiniteSet:
 
     def __eq__(self, other) -> bool:
         # Factor bookkeeping is presentation, not identity.
-        return isinstance(other, FiniteSet) and self.labels == other.labels
+        return self is other or (isinstance(other, FiniteSet) and self.labels == other.labels)
 
     def __hash__(self) -> int:
         return hash(self.labels)
@@ -89,7 +89,12 @@ def unit_set() -> FiniteSet:
 
 def product_set(left: FiniteSet, right: FiniteSet) -> FiniteSet:
     """Cartesian product in row-major order with flattened tuple labels."""
-    labels = [join_atoms(atoms(a) + atoms(b)) for a in left.labels for b in right.labels]
+    lefts = [atoms(a) for a in left.labels]
+    rights = [atoms(b) for b in right.labels]
+    if left.arity + right.arity == 1:  # one factor is the unit: bare atoms, as join_atoms gives
+        labels = [(a + b)[0] for a in lefts for b in rights]
+    else:
+        labels = [a + b for a in lefts for b in rights]
     return FiniteSet(labels, factors=(left, right))
 
 
@@ -115,11 +120,12 @@ class FinDist:
     __slots__ = ("semiring", "base", "weights", "_hash")
 
     def __init__(self, semiring: Semiring, base: FiniteSet, weights: Mapping[Label, Any]):
-        unknown = [l for l in weights if l not in base]
+        index = base._index
+        unknown = [l for l in weights if l not in index]
         if unknown:
             raise DistributionError(f"weight on labels outside the base: {unknown!r}")
         clean: Dict[Label, Any] = {}
-        for label in sorted(weights, key=base.index):  # canonical iteration order
+        for label in sorted(weights, key=index.__getitem__):  # canonical iteration order
             value = semiring.check(weights[label])
             if not semiring.is_zero(value):
                 clean[label] = value

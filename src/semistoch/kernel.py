@@ -93,9 +93,13 @@ class Kernel:
 
 def from_function(semiring: Semiring, dom: FiniteSet, cod: FiniteSet,
                   fn: Callable[[Label], Label]) -> Kernel:
-    """Deterministic kernel: each label maps to a point mass at its image."""
-    return Kernel(semiring, dom, cod,
-                  {a: fd.dirac(semiring, cod, fn(a)) for a in dom.labels})
+    """Deterministic kernel: each label maps to a point mass at its image.
+
+    Labels with the same image share one (immutable) point mass.
+    """
+    images = {a: fn(a) for a in dom.labels}
+    diracs = {b: fd.dirac(semiring, cod, b) for b in dict.fromkeys(images.values())}
+    return Kernel(semiring, dom, cod, {a: diracs[b] for a, b in images.items()})
 
 
 def state(dist: FinDist) -> Kernel:

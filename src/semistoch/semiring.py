@@ -17,6 +17,13 @@ reads.  The arithmetic (``add``, ``mul``, ``try_div``, ``eq``/``is_zero``,
 value it meets is a stored weight, a carrier constant (``zero``/``one``)
 or a result of arithmetic on those, and each carrier is closed under its
 own operations.
+
+Over the rationals the checks run in integers.  ``check`` reads the sign of
+a ``Fraction`` from its numerator, ``is_zero`` tests the numerator, and
+``sum`` (which ``FinDist`` runs for its sum-to-one check and conditioning
+runs for each marginal) scales every numerator to the lcm of the
+denominators, as ``feasibility.verify`` does, and builds one ``Fraction``
+from the total.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any, Dict, Iterable, Optional, Sequence
 
 from .errors import CapabilityError, ShapeError
@@ -111,6 +119,10 @@ class RationalSemiring(Semiring):
     one = Fraction(1)
 
     def check(self, value):
+        if type(value) is Fraction:  # the common case
+            if value.numerator < 0:
+                raise ShapeError(f"negative weight {value} outside the carrier")
+            return value
         if isinstance(value, int) and not isinstance(value, bool):
             value = Fraction(value)
         if not isinstance(value, Fraction):
@@ -118,6 +130,14 @@ class RationalSemiring(Semiring):
         if value < 0:
             raise ShapeError(f"negative weight {value} outside the carrier")
         return value
+
+    def is_zero(self, a):
+        return a.numerator == 0
+
+    def sum(self, values):
+        values = list(values)
+        d = lcm(*[v.denominator for v in values])
+        return Fraction(sum(v.numerator * (d // v.denominator) for v in values), d)
 
     def add(self, a, b):
         return a + b

@@ -20,7 +20,12 @@ A builder that reorders or drops nothing keeps all five counts.
 The traced ``algebra`` run also pins its ``tensor`` and ``compose`` calls
 and its semiring multiplications.  A tensor builds a column only when a
 composite first reads it, so a return to building every column of every
-tensor up front multiplies more (85,231 instead of 19,178) and fails here.
+tensor up front multiplies more (85,231 instead of 17,330) and fails here.
+The dilation maps build each experiment's posterior assignment once per
+call (4 Bayesian inversions, not 6), and a standard measure composes the
+posterior assignment with the outcome state rather than with f and then the
+prior.  Building them again per use gives 1,080 composes, 493 tensors and
+19,178 multiplications, and fails here too.
 """
 
 import json
@@ -45,8 +50,8 @@ TRACED_COUNTS = {
     "garble": dict(zip(LP_SHAPE, (122, 60, 2952, 2274, 7756))),
     "bss": dict(zip(LP_SHAPE, (115, 47, 2774, 2159, 7723))),
     "algebra": {**dict(zip(LP_SHAPE, (2, 0, 8, 14, 28))),
-                "kernel.tensor.calls": 493, "kernel.compose.calls": 1080,
-                "semiring.mul.calls": 19178},
+                "kernel.tensor.calls": 445, "kernel.compose.calls": 960,
+                "semiring.mul.calls": 17330},
 }
 
 

@@ -25,6 +25,8 @@ from semistoch import (
     unit_set,
 )
 
+from semistoch.findist import atoms, join_atoms
+
 import corpus
 
 AB = FiniteSet(["a", "b"])
@@ -47,6 +49,8 @@ def rational_dists(draw, labels=("a", "b", "c")):
 def test_finite_set_rejects_duplicates():
     with pytest.raises(DistributionError):
         FiniteSet(["a", "a"])
+    with pytest.raises(DistributionError, match="duplicate label 'b'"):
+        FiniteSet(["a", "b", "c", "b", "a"])
 
 
 def test_finite_set_rejects_mixed_arity():
@@ -74,8 +78,22 @@ def test_product_set_row_major_order():
 
 def test_product_set_unit_is_strict():
     assert unit_set().labels == ((),)
+    assert product_set(unit_set(), unit_set()).labels == ((),)
     assert product_set(unit_set(), AB).labels == AB.labels
     assert product_set(AB, unit_set()).labels == AB.labels
+    singles = FiniteSet([("a",), ("b",)])
+    assert product_set(unit_set(), singles).labels == ("a", "b")
+    assert product_set(singles, unit_set()).labels == ("a", "b")
+
+
+@pytest.mark.parametrize("left, right", [
+    (unit_set(), unit_set()), (unit_set(), AB), (AB, unit_set()), (AB, CD),
+    (FiniteSet([("a",), ("b",)]), CD), (product_set(AB, CD), FiniteSet([("e",)])),
+    (unit_set(), product_set(AB, CD)),
+])
+def test_product_set_labels_join_the_atoms(left, right):
+    assert product_set(left, right).labels == tuple(
+        join_atoms(atoms(a) + atoms(b)) for a in left.labels for b in right.labels)
 
 
 def test_product_set_associativity_is_strict():

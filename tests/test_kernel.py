@@ -276,6 +276,7 @@ def test_copy_discard_swap_identity_columns():
     dc = discard(RATIONAL, AB)
     assert dc.cod == unit_set()
     assert dc.column("b") == dirac(RATIONAL, unit_set(), ())
+    assert dc.column("a") is dc.column("b")  # one point mass per distinct image
     sw = swap(RATIONAL, AB, CD)
     assert sw.column(("a", "d")) == dirac(RATIONAL, product_set(CD, AB), ("d", "a"))
 
